@@ -11,6 +11,7 @@ eavesdropper's equivalent channel into a unit-noise Gaussian channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +34,13 @@ class InvariantError(ValueError):
     """A domain-type invariant is violated."""
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a finite, nonempty 2-D complex array."""
+def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Coerce to a finite, nonempty 2-D complex array; with ``stacked``, to a
+    stack of such matrices of shape (..., rows, cols)."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
+    if arr.size == 0 or arr.ndim < 2 or (arr.ndim > 2 and not stacked):
+        kind = "stack of matrices" if stacked else "2-D matrix"
+        raise DimensionError(f"expected a nonempty {kind}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvariantError("matrix entries must be finite")
     return arr
@@ -114,6 +117,30 @@ def reduce_main_channel(h) -> ChannelSvd:
     return ChannelSvd(d=np.diag(s).astype(np.complex128), left=left, right=right)
 
 
+def _gram_deviation(h: np.ndarray) -> np.ndarray:
+    """Max-entry deviation of h h^H from the identity, per matrix of a stack."""
+    gram = h @ h.conj().swapaxes(-1, -2)
+    return np.max(np.abs(gram - np.eye(h.shape[-2])), axis=(-2, -1))
+
+
+def _eve_stack(a, canonical: bool) -> np.ndarray:
+    """Coerce to a (..., n_eve, n_tx) stack of eavesdropper matrices; with
+    ``canonical``, every matrix must also have orthonormal rows."""
+    h = as_complex_matrix(a, stacked=True)
+    n_eve, n_tx = h.shape[-2:]
+    if n_eve > n_tx:
+        raise DimensionError(
+            f"eavesdropper rows ({n_eve}) cannot exceed transmit antennas ({n_tx})"
+        )
+    dev = float(np.max(_gram_deviation(h))) if canonical else 0.0
+    if dev > ORTHO_TOL:
+        raise InvariantError(
+            f"rows are not orthonormal (max deviation {dev:.3e}); "
+            "use canonicalize_eve() first"
+        )
+    return h
+
+
 @dataclass(frozen=True)
 class EveState:
     """One eavesdropper channel matrix in canonical (orthonormal rows) form."""
@@ -122,19 +149,7 @@ class EveState:
 
     def __post_init__(self):
         ht = as_complex_matrix(self.ht)
-        n_eve, n_tx = ht.shape
-        if n_eve > n_tx:
-            raise DimensionError(
-                f"eavesdropper rows ({n_eve}) cannot exceed transmit antennas ({n_tx})"
-            )
-        gram = ht @ ht.conj().T
-        dev = np.max(np.abs(gram - np.eye(n_eve)))
-        if dev > ORTHO_TOL:
-            raise InvariantError(
-                f"rows are not orthonormal (max deviation {dev:.3e}); "
-                "use canonicalize_eve() first"
-            )
-        object.__setattr__(self, "ht", ht)
+        object.__setattr__(self, "ht", _eve_stack(ht, canonical=True))
 
     @property
     def n_eve(self) -> int:
@@ -145,27 +160,25 @@ class EveState:
         return self.ht.shape[1]
 
 
-def canonicalize_eve(h_raw) -> EveState:
-    """Reduce a raw eavesdropper matrix to canonical orthonormal-row form.
+def canonicalize_eve(h_raw):
+    """Reduce raw eavesdropper matrices to canonical orthonormal-row form.
 
     Keeps the row space of the input (the raw observation is a degraded
     function of the canonical one) and fills any rank-deficient directions
     with orthonormal completion rows, which only strengthens the
     eavesdropper.  A matrix that is already canonical is returned unchanged.
+    A single (n_eve, n_tx) matrix gives an ``EveState``; a stack
+    (..., n_eve, n_tx) gives the canonical stack as an array, from one
+    batched SVD.
     """
-    h = as_complex_matrix(h_raw)
-    n_eve, n_tx = h.shape
-    if n_eve > n_tx:
-        raise DimensionError(
-            f"eavesdropper rows ({n_eve}) cannot exceed transmit antennas ({n_tx})"
-        )
-    gram = h @ h.conj().T
-    if np.max(np.abs(gram - np.eye(n_eve))) <= ORTHO_TOL:
-        return EveState(h)
-    # Right-singular rows: the first rank(h) of them span the row space, the
-    # remainder are the orthonormal completion used for zero/deficient rows.
-    _, s, vh = np.linalg.svd(h, full_matrices=True)
-    return EveState(vh[:n_eve])
+    h = _eve_stack(h_raw, canonical=False)
+    keep = _gram_deviation(h) <= ORTHO_TOL
+    if not np.all(keep):
+        # Right-singular rows: the first rank(h) of them span the row space, the
+        # remainder are the orthonormal completion used for zero/deficient rows.
+        vh = np.linalg.svd(h, full_matrices=True)[2][..., : h.shape[-2], :]
+        h = np.where(keep[..., None, None], h, vh)
+    return EveState(h) if h.ndim == 2 else _eve_stack(h, canonical=True)
 
 
 def random_eve_state(n_eve: int, n_tx: int, rng) -> EveState:
@@ -175,45 +188,41 @@ def random_eve_state(n_eve: int, n_tx: int, rng) -> EveState:
 
 @dataclass(frozen=True)
 class EveTrace:
-    """A length-n sequence of canonical eavesdropper states."""
+    """A length-n sequence of canonical eavesdropper states, held as one
+    read-only (n, n_eve, n_tx) array and validated in one pass."""
 
-    states: tuple
+    stacked: np.ndarray
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if len(states) == 0:
-            raise DimensionError("a trace needs at least one state")
-        shapes = {(st.n_eve, st.n_tx) for st in states}
-        if len(shapes) != 1:
-            raise DimensionError(f"states disagree on shape: {sorted(shapes)}")
-        object.__setattr__(self, "states", states)
-        stack = np.stack([st.ht for st in states])
-        object.__setattr__(self, "_stack", stack)
+        stack = state_stack(np.array(self.stacked, dtype=np.complex128))
+        stack = _eve_stack(stack, canonical=True)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stacked", stack)
 
     @classmethod
     def constant(cls, state: EveState, n: int) -> "EveTrace":
-        return cls(states=(state,) * n)
+        return cls(np.repeat(state.ht[None], n, axis=0))
 
     @classmethod
     def random(cls, n_eve: int, n_tx: int, n: int, rng) -> "EveTrace":
-        return cls(states=tuple(random_eve_state(n_eve, n_tx, rng) for _ in range(n)))
+        return cls(canonicalize_eve(complex_normal(rng, (n, n_eve, n_tx))))
 
     @property
-    def stacked(self) -> np.ndarray:
-        """All state matrices as one (n, n_eve, n_tx) array."""
-        return self._stack
+    def states(self) -> tuple:
+        """The per-use states, one ``EveState`` each."""
+        return tuple(EveState(ht) for ht in self.stacked)
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return self.stacked.shape[0]
 
     @property
     def n_eve(self) -> int:
-        return self.states[0].n_eve
+        return self.stacked.shape[1]
 
     @property
     def n_tx(self) -> int:
-        return self.states[0].n_tx
+        return self.stacked.shape[2]
 
 
 @dataclass(frozen=True)
@@ -232,8 +241,8 @@ class PowerConfig:
     n_tx: int
 
     def __post_init__(self):
-        if self.pbar < 0:
-            raise ValueError("power budget must be nonnegative")
+        if not math.isfinite(self.pbar) or self.pbar < 0:
+            raise ValueError("power budget must be finite and nonnegative")
         if not 0.0 <= self.eps_p < 1.0:
             raise ValueError("truncation margin must lie in [0, 1)")
         if self.n_tx < 1:
@@ -270,18 +279,31 @@ def main_observe(x, ch: MainChannel, rng) -> np.ndarray:
     return ch.h @ x + complex_normal(rng, (ch.n_rx, x.shape[1]))
 
 
-def eve_observe(x, trace: EveTrace) -> np.ndarray:
-    """Noiseless eavesdropper observation, one state per channel use."""
-    x = as_complex_matrix(x)
-    if x.shape[0] != trace.n_tx:
+def state_stack(states) -> np.ndarray:
+    """The (n, n_eve, n_tx) matrices of a trace or of a raw state stack."""
+    if isinstance(states, EveTrace):
+        return states.stacked
+    stack = as_complex_matrix(states, stacked=True)
+    if stack.ndim != 3:
+        raise DimensionError("state sequence must have shape (n, n_eve, n_tx)")
+    return stack
+
+
+def eve_observe(x, states) -> np.ndarray:
+    """Noiseless eavesdropper observation, one state per channel use.
+
+    ``x`` is one block (n_tx, n) or a batch (..., n_tx, n); ``states`` is an
+    ``EveTrace`` or a raw (n, n_eve, n_tx) stack such as a snapped grid.
+    Column i of each block goes through state i.
+    """
+    stack = state_stack(states)
+    x = as_complex_matrix(x, stacked=True)
+    n, _, n_tx = stack.shape
+    if x.shape[-2:] != (n_tx, n):
         raise DimensionError(
-            f"signal has {x.shape[0]} rows but the trace expects {trace.n_tx}"
+            f"signal blocks are {x.shape[-2:]} but the trace expects ({n_tx}, {n})"
         )
-    if x.shape[1] != trace.n:
-        raise DimensionError(
-            f"signal spans {x.shape[1]} uses but the trace has {trace.n}"
-        )
-    return np.einsum("iet,ti->ei", trace.stacked, x)
+    return np.einsum("iet,...ti->...ei", stack, x)
 
 
 def effective_noise_cov(ch: MainChannel) -> np.ndarray:

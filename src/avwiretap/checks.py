@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EveTrace, MainChannel, PowerConfig, complex_normal, random_eve_state
+from .channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe
 from .codebook import BinningParams, binning_params, sample_codebook
 from .leakage import (
     estimate_variational_distance,
@@ -37,7 +37,7 @@ def noise_whiteness_check(
 ) -> CheckResult:
     """Empirical covariance of the forwarded artificial noise vs identity."""
     if state_mats is None:
-        state_mats = [random_eve_state(n_eve, n_tx, rng).ht for _ in range(n_states)]
+        state_mats = EveTrace.random(n_eve, n_tx, n_states, rng).stacked
     worst = 0.0
     for ht in state_mats:
         seen = np.asarray(ht) @ complex_normal(rng, (n_tx, samples))
@@ -63,7 +63,7 @@ def output_invariance_check(
         reps = math.ceil(samples / n)
         x = complex_normal(rng, (reps, pc.n_tx, n), var=pc.per_antenna_var)
         x = x + complex_normal(rng, (reps, pc.n_tx, n))
-        y = np.einsum("iet,bti->bei", trace.stacked, x)
+        y = eve_observe(x, trace)
         columns.append(y.transpose(0, 2, 1).reshape(-1, n_eve)[:samples])
     a, b = columns
     worst_z = 0.0
@@ -103,11 +103,8 @@ def quantization_error_check(
 ) -> CheckResult:
     """Worst per-row squared snapping error against its strict cap."""
     cap = 2.0 * n_tx / m**2
-    worst = 0.0
-    for _ in range(n_states):
-        st = random_eve_state(n_eve, n_tx, rng)
-        err = np.sum(np.abs(st.ht - quantize_eve(st, m)) ** 2, axis=1).max()
-        worst = max(worst, float(err))
+    states = EveTrace.random(n_eve, n_tx, n_states, rng).stacked
+    worst = float(np.sum(np.abs(states - quantize_eve(states, m)) ** 2, axis=-1).max())
     return CheckResult(
         check_id="quantization-error",
         description="state snapping stays under the per-row error cap",
@@ -126,12 +123,12 @@ def perturbation_scan(
     applicable = 0
     for _ in range(instances):
         trace = EveTrace.random(n_eve, n_tx, n, rng)
-        grid = np.stack([quantize_eve(st, m) for st in trace.states])
+        grid = quantize_eve(trace.stacked, m)
         while True:
             x = complex_normal(rng, (n_tx, n), var=p / n_tx)
             if np.sum(np.abs(x) ** 2) / n <= p:
                 break
-        z = np.einsum("iet,ti->ei", trace.stacked, x) + complex_normal(rng, (n_eve, n))
+        z = eve_observe(x, trace) + complex_normal(rng, (n_eve, n))
         res = check_loglik_perturbation(x, z, trace, grid, p=p, m=m, eps=eps)
         if res.applicable:
             applicable += 1

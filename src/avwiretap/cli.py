@@ -33,6 +33,7 @@ from .checks import default_verification_suite, noise_whiteness_check
 from .codebook import (
     ToyScaleError,
     binning_params,
+    check_toy_caps,
     estimate_decode_error,
     eve_channel_trial,
     main_channel_trial,
@@ -240,6 +241,9 @@ def cmd_simulate(cfg: dict, seed: int, threads: int) -> ResultTable:
         raise ConfigError("Monte Carlo budgets must be positive")
     if books < 2:
         raise ConfigError("need at least two codebooks per blocklength")
+    for n in n_values:
+        # refuse before binning_params sizes 2^(n rate) codewords
+        check_toy_caps(0, n)
     w_count = int(cfg.get("w_subset", 4))
     ch = MainChannel(parse_matrix(cfg.get("channel", {"identity": n_tx})))
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)

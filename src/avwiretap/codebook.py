@@ -28,6 +28,7 @@ from .channel import (
     main_observe,
     transmit,
 )
+from .quantization import truncation_mass
 
 # Exact-mixture estimators evaluate every codeword per sample.
 MIXTURE_CODEWORD_CAP = 2**14
@@ -188,7 +189,7 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
             mode=bp.mode,
             pc=pc,
         )
-    expected_acceptance = _acceptance_probability(bp.n, pc)
+    expected_acceptance = truncation_mass(bp.n, pc.n_tx, pc.p, pc.eps_p)
     if expected_acceptance < 1e-6:
         raise ValueError(
             f"pathological configuration: expected acceptance rate "
@@ -214,14 +215,6 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
     return Codebook(
         codewords=codewords, n_bins=bp.n_bins, per_bin=bp.per_bin, mode=bp.mode, pc=pc
     )
-
-
-def _acceptance_probability(n: int, pc) -> float:
-    from scipy.special import gammainc
-
-    # chance a Gaussian draw at the configured variance fits under the cap
-    shape = n * pc.n_tx
-    return float(gammainc(shape, n * pc.p / pc.per_antenna_var))
 
 
 def encode(w: int, cb: Codebook, rng) -> tuple[np.ndarray, int]:
@@ -262,7 +255,7 @@ def eve_bin_decode(z, i0: int, trace: EveTrace, cb: Codebook) -> int:
     z = as_complex_matrix(z)
     if z.shape != (trace.n_eve, cb.n):
         raise DimensionError(f"observation shape {z.shape} != ({trace.n_eve}, {cb.n})")
-    clean = np.einsum("iet,kti->kei", trace.stacked, cb.bin_codewords(i0))
+    clean = eve_observe(cb.bin_codewords(i0), trace)
     dists = np.sum(np.abs(z[None] - clean) ** 2, axis=(1, 2))
     return int(np.argmin(dists))
 

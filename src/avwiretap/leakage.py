@@ -22,6 +22,7 @@ from .channel import (
     PowerConfig,
     as_complex_matrix,
     complex_normal,
+    eve_observe,
 )
 from .codebook import (
     BinningParams,
@@ -37,27 +38,30 @@ LOG_RATIO_CLIP = 700.0
 _SAMPLE_BATCH = 512
 
 
+def _density_bits(x, z, trace: EveTrace, p_prime: float):
+    """Per-use information density of coded inputs x (..., n_tx, n) and
+    eavesdropper outputs z (..., n_eve, n), batched over leading axes."""
+    n = x.shape[-1]
+    out_norm = np.sum(np.abs(z) ** 2, axis=(-2, -1))
+    residual = np.sum(np.abs(z - eve_observe(x, trace)) ** 2, axis=(-2, -1))
+    return trace.n_eve * math.log2(p_prime) + (
+        (out_norm / p_prime - residual) / n
+    ) * math.log2(math.e)
+
+
 def info_density(x, z, trace: EveTrace, pc: PowerConfig) -> float:
     """Per-use information density of (x, z) through the given trace.
 
     Closed form for the unit-noise eavesdropper channel with isotropic
     Gaussian inputs: the output marginal is isotropic with per-component
-    variance p' = per-antenna variance + 1, so the density reduces to the
-    two quadratic terms below.  Its mean over the ensemble is
-    n_eve * log2(p').
+    variance p' = per-antenna variance + 1, so the density reduces to two
+    quadratic terms, in the output and in the residual.  Its mean over the
+    ensemble is n_eve * log2(p').
     """
-    x = as_complex_matrix(x)
     z = as_complex_matrix(z)
-    n = x.shape[1]
-    if z.shape != (trace.n_eve, n) or x.shape[0] != trace.n_tx or trace.n != n:
-        raise DimensionError("signal, observation, and trace shapes disagree")
-    p_prime = pc.p_prime
-    clean = np.einsum("iet,ti->ei", trace.stacked, x)
-    out_norm = float(np.sum(np.abs(z) ** 2))
-    residual = float(np.sum(np.abs(z - clean) ** 2))
-    return trace.n_eve * math.log2(p_prime) + (
-        (out_norm / p_prime - residual) / n
-    ) * math.log2(math.e)
+    if z.shape != (trace.n_eve, trace.n):
+        raise DimensionError("observation and trace shapes disagree")
+    return float(_density_bits(as_complex_matrix(x), z, trace, pc.p_prime))
 
 
 def _clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> float:
@@ -106,12 +110,10 @@ def info_density_tail(
             return EveTrace.random(n_eve, pc.n_tx, n, r)
 
     p_prime = pc.p_prime
-    center = n_eve * math.log2(p_prime)
-    threshold = center + delta
+    threshold = n_eve * math.log2(p_prime) + delta
     estimates, uppers, means, sems = [], [], [], []
     for n in n_values:
         trace = make_trace(int(n), rng)
-        stack = trace.stacked
         hits = 0
         total = 0.0
         total_sq = 0.0
@@ -120,11 +122,7 @@ def info_density_tail(
             b = min(2048, trials - done)
             xt = complex_normal(rng, (b, pc.n_tx, n), var=pc.per_antenna_var)
             x = xt + complex_normal(rng, (b, pc.n_tx, n))
-            z = np.einsum("iet,bti->bei", stack, x)
-            clean = np.einsum("iet,bti->bei", stack, xt)
-            out_norm = np.sum(np.abs(z) ** 2, axis=(1, 2))
-            residual = np.sum(np.abs(z - clean) ** 2, axis=(1, 2))
-            dens = center + ((out_norm / p_prime - residual) / n) * math.log2(math.e)
+            dens = _density_bits(xt, eve_observe(x, trace), trace, p_prime)
             hits += int(np.sum(dens > threshold))
             total += float(np.sum(dens))
             total_sq += float(np.sum(dens**2))
@@ -156,12 +154,6 @@ def info_density_tail(
 
 # ---------------------------------------------------------------------------
 # Gaussian-mixture machinery (flattened observations, unit noise)
-
-
-def _flatten_observations(trace: EveTrace, codewords: np.ndarray) -> np.ndarray:
-    """Clean eavesdropper observations of the codewords, one row each."""
-    clean = np.einsum("iet,kti->kei", trace.stacked, codewords)
-    return clean.reshape(clean.shape[0], -1)
 
 
 def _pairwise_sqdist(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
@@ -251,7 +243,7 @@ def estimate_variational_distance(
     values = []
     saturated = False
     for w in w_subset:
-        centers = _flatten_observations(trace, cb.bin_codewords(int(w)))
+        centers = eve_observe(cb.bin_codewords(int(w)), trace).reshape(cb.per_bin, -1)
         done = 0
         while done < samples:
             b = min(_SAMPLE_BATCH, samples - done)
@@ -293,7 +285,7 @@ def estimate_leakage_mi(
     check_toy_caps(cb.size, cb.n)
     if samples < 2:
         raise ValueError("need at least two samples")
-    centers = _flatten_observations(trace, cb.codewords)
+    centers = eve_observe(cb.codewords, trace).reshape(cb.size, -1)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -303,7 +295,7 @@ def estimate_leakage_mi(
         j = rng.integers(cb.per_bin, size=b)
         x = cb.codewords[w * cb.per_bin + j]
         noisy = x + complex_normal(rng, x.shape)
-        z = np.einsum("iet,bti->bei", trace.stacked, noisy).reshape(b, -1)
+        z = eve_observe(noisy, trace).reshape(b, -1)
         sq = _pairwise_sqdist(z, centers)
         log_all = logsumexp(-sq, axis=1) - math.log(cb.size)
         vals = np.empty(b)
@@ -359,7 +351,7 @@ def eve_second_moment_check(
         raise ValueError("need at least two trials")
     idx = rng.integers(cb.size, size=trials)
     x = cb.codewords[idx] + complex_normal(rng, (trials, cb.n_tx, cb.n))
-    z = np.einsum("iet,bti->bei", trace.stacked, x)
+    z = eve_observe(x, trace)
     energies = np.sum(np.abs(z) ** 2, axis=(1, 2))
     empirical = float(np.mean(energies))
     stderr = float(np.std(energies, ddof=1) / math.sqrt(trials))

@@ -20,10 +20,11 @@ from scipy.special import gammainc
 from .channel import (
     DimensionError,
     EveState,
-    EveTrace,
     MainChannel,
     PowerConfig,
     as_complex_matrix,
+    eve_observe,
+    state_stack,
 )
 
 
@@ -51,12 +52,13 @@ class QuantGrid:
 def quantize_eve(st, m: int) -> np.ndarray:
     """Snap real/imag parts to the nearest 1/m lattice point.
 
+    Takes one state or any stack of state matrices (..., n_eve, n_tx).
     Rounds half away from zero, which keeps the result symmetric and inside
     the unit box that canonical entries occupy.
     """
     if m < 1:
         raise ValueError("grid density must be >= 1")
-    ht = st.ht if isinstance(st, EveState) else as_complex_matrix(st)
+    ht = st.ht if isinstance(st, EveState) else as_complex_matrix(st, stacked=True)
 
     def snap(v):
         return np.sign(v) * np.floor(np.abs(v) * m + 0.5) / m
@@ -106,16 +108,6 @@ def loglik_drift_bound(radii: PerturbationRadii) -> float:
     return radii.r_prime * (2.0 * radii.r + radii.r_prime)
 
 
-def _as_state_stack(trace) -> np.ndarray:
-    """Accept an EveTrace or a raw (n, n_eve, n_tx) array of state matrices."""
-    if isinstance(trace, EveTrace):
-        return trace.stacked
-    arr = np.asarray(trace, dtype=np.complex128)
-    if arr.ndim != 3:
-        raise DimensionError("state sequence must have shape (n, n_eve, n_tx)")
-    return arr
-
-
 @dataclass(frozen=True)
 class PerturbationCheck:
     applicable: bool
@@ -137,10 +129,9 @@ def check_loglik_perturbation(
     """
     x = as_complex_matrix(x)
     z = as_complex_matrix(z)
-    stack_a = _as_state_stack(trace_a)
-    stack_b = _as_state_stack(trace_b)
-    n = x.shape[1]
-    n_tx = x.shape[0]
+    stack_a = state_stack(trace_a)
+    stack_b = state_stack(trace_b)
+    n_tx, n = x.shape
     n_eve = z.shape[0]
     if stack_a.shape != stack_b.shape or stack_a.shape != (n, n_eve, n_tx):
         raise DimensionError("state sequences do not match the signal shapes")
@@ -153,12 +144,12 @@ def check_loglik_perturbation(
         return not_applicable
     if np.sum(np.abs(x) ** 2) / n > p + 1e-12:
         return not_applicable
-    clean_a = np.einsum("iet,ti->ei", stack_a, x)
+    clean_a = eve_observe(x, stack_a)
     residual = float(np.sum(np.abs(z - clean_a) ** 2))
     if residual / n >= radii.r**2:
         return not_applicable
 
-    clean_b = np.einsum("iet,ti->ei", stack_b, x)
+    clean_b = eve_observe(x, stack_b)
     lhs = abs(residual - float(np.sum(np.abs(z - clean_b) ** 2)))
     rhs = n * loglik_drift_bound(radii)
     return PerturbationCheck(applicable=True, lhs=lhs, rhs=rhs, holds=lhs <= rhs)

@@ -160,8 +160,8 @@ def test_eve_observe_time_varying_uses_per_column_state(rng):
     trace = EveTrace.random(2, 3, 5, rng)
     x = complex_normal(rng, (3, 5))
     out = eve_observe(x, trace)
-    for i, st in enumerate(trace.states):
-        assert np.allclose(out[:, i], st.ht @ x[:, i])
+    for i in range(trace.n):
+        assert np.allclose(out[:, i], trace.stacked[i] @ x[:, i])
 
 
 def test_eve_observe_length_mismatch(rng):

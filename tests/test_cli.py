@@ -156,6 +156,23 @@ def test_simulate_refuses_oversized_blocklength(tmp_path):
     assert code == 3
 
 
+def test_simulate_refuses_overflowing_blocklength(tmp_path):
+    # 2^(n rate) bins overflow a float long before the sampler cap is reached
+    cfg = _write_cfg(tmp_path, "sim.json", {"n_values": [2000]})
+    code, _ = _run(tmp_path, "simulate", "--config", cfg, "--seed", "1")
+    assert code == 3
+
+
+def test_rate_rejects_non_finite_power(tmp_path):
+    cfg = _write_cfg(
+        tmp_path, "rate.json",
+        {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [math.nan, 10, 100]},
+    )
+    code, out = _run(tmp_path, "rate", "--config", cfg)
+    assert code == 1
+    assert not out.exists()
+
+
 def test_malformed_config_rejected(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -284,7 +284,7 @@ def test_symmetry_under_unitary_rotation(rng):
     q, _ = np.linalg.qr(
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     )
-    rotated = EveTrace(tuple(EveState(st.ht @ q) for st in trace_a.states))
+    rotated = EveTrace(trace_a.stacked @ q)
     res = eve_error_symmetry_check(_weak_bp(6), pc, trace_a, rotated, 12, 60, rng)
     assert res.compatible
 

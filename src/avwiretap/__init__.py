@@ -29,11 +29,10 @@ from .codebook import (
     ToyScaleError,
     TwoStageEncoding,
     binning_params,
+    codebook_ensemble,
     encode,
     estimate_decode_error,
     eve_bin_decode,
-    eve_channel_trial,
-    main_channel_trial,
     ml_decode_main,
     sample_codebook,
     two_stage_encode,
@@ -77,7 +76,6 @@ from .rates import (
     capacity_term,
     converse_rate_bound,
     convex_hull_2d,
-    effective_power,
     leakage_cap,
     mac_region,
     main_mutual_info,
@@ -97,7 +95,7 @@ __all__ = [
     "random_full_rank_channel", "reduce_main_channel", "transmit",
     # rates and regions
     "RateRegion", "SecrecyRateResult", "bc_region", "capacity_term",
-    "converse_rate_bound", "convex_hull_2d", "effective_power", "leakage_cap",
+    "converse_rate_bound", "convex_hull_2d", "leakage_cap",
     "mac_region", "main_mutual_info", "region_sum_sdof", "sdof", "sdof_slope",
     "secrecy_rate",
     # quantization and exponents
@@ -108,9 +106,8 @@ __all__ = [
     "truncation_mass", "two_stage_overhead",
     # codebooks
     "BinningParams", "Codebook", "ToyScaleError", "TwoStageEncoding",
-    "binning_params", "encode", "estimate_decode_error", "eve_bin_decode",
-    "eve_channel_trial", "main_channel_trial", "ml_decode_main",
-    "sample_codebook", "two_stage_encode",
+    "binning_params", "codebook_ensemble", "encode", "estimate_decode_error",
+    "eve_bin_decode", "ml_decode_main", "sample_codebook", "two_stage_encode",
     # leakage estimators
     "LeakageEstimate", "SecondMomentCheck", "SymmetryCheck", "TailScan",
     "estimate_leakage_mi", "estimate_variational_distance",

@@ -264,19 +264,19 @@ class PowerConfig:
 
 
 def transmit(x_tilde, rng) -> np.ndarray:
-    """Superimpose unit-variance artificial noise on the coded signal."""
-    x = as_complex_matrix(x_tilde)
+    """Superimpose unit-variance artificial noise on coded blocks (..., n_tx, n)."""
+    x = as_complex_matrix(x_tilde, stacked=True)
     return x + complex_normal(rng, x.shape)
 
 
 def main_observe(x, ch: MainChannel, rng) -> np.ndarray:
-    """One block through the main channel: y = h x + z, z unit-variance."""
-    x = as_complex_matrix(x)
-    if x.shape[0] != ch.n_tx:
+    """Blocks (..., n_tx, n) through the main channel: y = h x + z, z unit-variance."""
+    x = as_complex_matrix(x, stacked=True)
+    if x.shape[-2] != ch.n_tx:
         raise DimensionError(
-            f"signal has {x.shape[0]} rows but the channel expects {ch.n_tx}"
+            f"signal has {x.shape[-2]} rows but the channel expects {ch.n_tx}"
         )
-    return ch.h @ x + complex_normal(rng, (ch.n_rx, x.shape[1]))
+    return ch.h @ x + complex_normal(rng, (*x.shape[:-2], ch.n_rx, x.shape[-1]))
 
 
 def state_stack(states) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe
-from .codebook import BinningParams, binning_params, sample_codebook
+from .codebook import BinningParams, binning_params, codebook_ensemble, sample_codebook
 from .leakage import (
     estimate_variational_distance,
     eve_error_symmetry_check,
@@ -252,17 +252,13 @@ def resolvability_check(
     for n in n_values:
         bp = binning_params(i_main, i_eve, n=int(n), delta_n=0.5, delta_prime=0.25)
         trace = EveTrace.random(1, pc.n_tx, int(n), rng)
-        d_vals = []
-        for _ in range(books):
-            cb = sample_codebook(bp, pc, rng)
-            est = estimate_variational_distance(
+        mean, stderr = codebook_ensemble(
+            bp, pc, books, rng,
+            lambda cb: estimate_variational_distance(
                 cb, trace, range(min(cb.n_bins, 4)), max(2, samples // books), rng
-            )
-            d_vals.append(est.d_hat)
-        point = (
-            float(np.mean(d_vals)),
-            float(np.std(d_vals, ddof=1) / math.sqrt(books)),
+            ).d_hat,
         )
+        point = (float(mean), float(stderr))
         if prev is not None:
             ok = ok and point[0] <= prev[0] + 3 * math.hypot(point[1], prev[1])
         prev = point

@@ -34,10 +34,8 @@ from .codebook import (
     ToyScaleError,
     binning_params,
     check_toy_caps,
+    codebook_ensemble,
     estimate_decode_error,
-    eve_channel_trial,
-    main_channel_trial,
-    sample_codebook,
 )
 from .leakage import (
     estimate_leakage_mi,
@@ -257,16 +255,11 @@ def cmd_simulate(cfg: dict, seed: int, threads: int) -> ResultTable:
         def run():
             bp = binning_params(i_main, i_eve, n, delta_n, delta_prime, mode)
             trace = EveTrace.random(n_eve, n_tx, n, rng)
-            per_book = []
-            saturated = False
-            for _ in range(books):
-                cb = sample_codebook(bp, pc, rng)
-                lam, _ = estimate_decode_error(
-                    cb, main_channel_trial(ch), max(1, error_trials // books), rng
-                )
-                eta, _ = estimate_decode_error(
-                    cb, eve_channel_trial(trace), max(1, error_trials // books), rng
-                )
+            trials = max(1, error_trials // books)
+
+            def stats(cb):
+                lam, _ = estimate_decode_error(cb, ch, trials, rng)
+                eta, _ = estimate_decode_error(cb, trace, trials, rng)
                 est = estimate_variational_distance(
                     cb, trace, range(min(cb.n_bins, w_count)),
                     max(2, distance_samples // books), rng,
@@ -274,19 +267,16 @@ def cmd_simulate(cfg: dict, seed: int, threads: int) -> ResultTable:
                 mi, _ = estimate_leakage_mi(
                     cb, trace, max(2, mi_samples // books), rng
                 )
-                saturated = saturated or est.saturated
-                per_book.append((lam, eta, est.d_hat, mi))
-            stats = np.asarray(per_book)
-            mean = stats.mean(axis=0)
-            stderr = stats.std(axis=0, ddof=1) / math.sqrt(books)
-            bp_counts = (bp.n_bins, bp.per_bin)
+                return lam, eta, est.d_hat, mi, est.saturated
+
+            mean, stderr = codebook_ensemble(bp, pc, books, rng, stats)
             mi_bound = leakage_from_distance(
                 total_distance_bound(float(mean[2]), n, pc), bp.n_bins
             )
             return (
-                n, *bp_counts, float(mean[0]), float(stderr[0]), float(mean[1]),
-                float(stderr[1]), float(mean[2]), float(stderr[2]), float(mean[3]),
-                float(stderr[3]), mi_bound, saturated,
+                n, bp.n_bins, bp.per_bin, float(mean[0]), float(stderr[0]),
+                float(mean[1]), float(stderr[1]), float(mean[2]), float(stderr[2]),
+                float(mean[3]), float(stderr[3]), mi_bound, bool(mean[4] > 0),
             )
 
         return run

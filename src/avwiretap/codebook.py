@@ -33,6 +33,9 @@ from .quantization import truncation_mass
 # Exact-mixture estimators evaluate every codeword per sample.
 MIXTURE_CODEWORD_CAP = 2**14
 BLOCKLENGTH_CAP = 32
+# Memory guard for the sampler itself (the mixture cap is enforced by the
+# estimators, not here, so decoder-only experiments may go larger).
+SAMPLER_CODEWORD_CAP = 2**18
 
 MODES = ("strong", "weak")
 
@@ -107,8 +110,15 @@ def binning_params(
     else:
         rate = i_main - 2.0 * delta_n
         bin_exponent = n * (i_eve - delta_n)
+    # the count is at least max(per_bin, 2^(n rate) / 2): refuse from the
+    # exponents before 2^(n rate) can overflow, then from the count itself
+    too_many = f"binning needs over {SAMPLER_CODEWORD_CAP} codewords, the sampler cap"
+    if max(bin_exponent, n * rate - 1) > math.log2(SAMPLER_CODEWORD_CAP):
+        raise ToyScaleError(too_many)
     per_bin = max(1, math.ceil(2.0**bin_exponent))
     n_bins = max(1, math.floor(2.0 ** (n * rate) / per_bin))
+    if n_bins * per_bin > SAMPLER_CODEWORD_CAP:
+        raise ToyScaleError(too_many)
     return BinningParams(
         n=n,
         rate_bits=rate,
@@ -162,11 +172,6 @@ class Codebook:
         if not 0 <= i < self.n_bins:
             raise ValueError(f"bin index {i} out of range [0, {self.n_bins})")
         return self.codewords[i * self.per_bin : (i + 1) * self.per_bin]
-
-
-# Memory guard for the sampler itself (the mixture cap is enforced by the
-# estimators, not here, so decoder-only experiments may go larger).
-SAMPLER_CODEWORD_CAP = 2**18
 
 
 def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
@@ -225,77 +230,107 @@ def encode(w: int, cb: Codebook, rng) -> tuple[np.ndarray, int]:
     return cb.codeword(w, j), j
 
 
-def ml_decode_main(y, ch: MainChannel, cb: Codebook) -> tuple[int, int]:
+# Rows (decoder trials or mixture samples) per pairwise-distance product,
+# so no batch builds a (rows, centers) matrix taller than this.
+_SAMPLE_BATCH = 512
+
+
+def _pairwise_sqdist(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of z_flat and of centers_flat."""
+    zn = np.sum(np.abs(z_flat) ** 2, axis=1)[:, None].real
+    cn = np.sum(np.abs(centers_flat) ** 2, axis=1)[None, :].real
+    cross = (z_flat @ centers_flat.conj().T).real
+    return np.maximum(zn + cn - 2.0 * cross, 0.0)
+
+
+def _nearest(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
+    """Index of the nearest center per row, ties to the smallest index; the
+    expanded distance rounds differently per center, even for equal centers,
+    so distances within 1e-12 of the squared norms count as tied."""
+    c_max = np.max(np.sum(np.abs(centers_flat) ** 2, axis=1))
+    out = []
+    for s in range(0, z_flat.shape[0], _SAMPLE_BATCH):
+        z = z_flat[s : s + _SAMPLE_BATCH]
+        d = _pairwise_sqdist(z, centers_flat)
+        slack = 1e-12 * (np.sum(np.abs(z) ** 2, axis=1) + c_max)
+        out.append(np.argmax(d <= (d.min(axis=1) + slack)[:, None], axis=1))
+    return np.concatenate(out)
+
+
+def ml_decode_main(y, ch: MainChannel, cb: Codebook):
     """Maximum-likelihood decoding at the legitimate receiver.
 
     The total noise (thermal plus forwarded artificial noise) is colored,
     so the likelihood is the whitened distance; minimum wins, ties go to
-    the smallest label in row-major order.
+    the smallest label in row-major order.  One observation (n_rx, n)
+    gives the label (i, j); a batch (..., n_rx, n) gives arrays i and j.
     """
-    y = as_complex_matrix(y)
-    if y.shape != (ch.n_rx, cb.n):
-        raise DimensionError(f"observation shape {y.shape} != ({ch.n_rx}, {cb.n})")
+    y = as_complex_matrix(y, stacked=True)
+    if y.shape[-2:] != (ch.n_rx, cb.n):
+        raise DimensionError(f"observation shape {y.shape} != (..., {ch.n_rx}, {cb.n})")
     if ch.n_tx != cb.n_tx:
         raise DimensionError("channel and codebook disagree on transmit antennas")
     chol = np.linalg.cholesky(effective_noise_cov(ch))
-    white_y = solve_triangular(chol, y, lower=True)
-    white_h = solve_triangular(chol, ch.h, lower=True)
-    clean = np.einsum("rt,ktn->krn", white_h, cb.codewords)
-    dists = np.sum(np.abs(white_y[None] - clean) ** 2, axis=(1, 2))
-    k = int(np.argmin(dists))
-    return divmod(k, cb.per_bin)
+    whiten = solve_triangular(chol, np.eye(ch.n_rx), lower=True)
+    clean = (whiten @ ch.h @ cb.codewords).reshape(cb.size, -1)
+    k = _nearest((whiten @ y).reshape(-1, clean.shape[1]), clean).reshape(y.shape[:-2])
+    return divmod(int(k), cb.per_bin) if y.ndim == 2 else np.divmod(k, cb.per_bin)
 
 
-def eve_bin_decode(z, i0: int, trace: EveTrace, cb: Codebook) -> int:
+def eve_bin_decode(z, i0, trace: EveTrace, cb: Codebook):
     """Within-bin decoding by an eavesdropper who already knows the bin.
 
     The artificial noise reaches a canonical eavesdropper whitened, so the
     likelihood is the plain distance to each possible clean observation.
+    One observation (n_eve, n) gives an int; a batch (..., n_eve, n) with
+    one bin or a bin per observation gives an array.
     """
-    z = as_complex_matrix(z)
-    if z.shape != (trace.n_eve, cb.n):
-        raise DimensionError(f"observation shape {z.shape} != ({trace.n_eve}, {cb.n})")
-    clean = eve_observe(cb.bin_codewords(i0), trace)
-    dists = np.sum(np.abs(z[None] - clean) ** 2, axis=(1, 2))
-    return int(np.argmin(dists))
+    z = as_complex_matrix(z, stacked=True)
+    if z.shape[-2:] != (trace.n_eve, cb.n):
+        raise DimensionError(
+            f"observation shape {z.shape} != (..., {trace.n_eve}, {cb.n})"
+        )
+    bins = np.broadcast_to(i0, z.shape[:-2]).reshape(-1)
+    z_flat = z.reshape(bins.size, -1)
+    out = np.empty(bins.size, dtype=np.intp)
+    for b in np.unique(bins):
+        rows = bins == b
+        clean = eve_observe(cb.bin_codewords(int(b)), trace).reshape(cb.per_bin, -1)
+        out[rows] = _nearest(z_flat[rows], clean)
+    return int(out[0]) if z.ndim == 2 else out.reshape(z.shape[:-2])
 
 
-def estimate_decode_error(cb: Codebook, trial, trials: int, rng) -> tuple[float, float]:
+def estimate_decode_error(
+    cb: Codebook, link: MainChannel | EveTrace, trials: int, rng
+) -> tuple[float, float]:
     """Monte Carlo block-error rate over uniformly drawn labels.
 
-    ``trial(cb, i, j, rng)`` runs one transmission of codeword (i, j) and
-    returns True on a decoding error.  Returns the error estimate and its
-    binomial standard error.
+    Through a ``MainChannel`` the legitimate receiver decodes the full
+    label; through an ``EveTrace`` the eavesdropper decodes the within-bin
+    index knowing the bin.  All trials run as one batch.  Returns the error
+    estimate and its binomial standard error.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    errors = 0
-    for _ in range(trials):
-        i = int(rng.integers(cb.n_bins))
-        j = int(rng.integers(cb.per_bin))
-        errors += bool(trial(cb, i, j, rng))
-    p_hat = errors / trials
+    w = rng.integers(cb.n_bins, size=trials)
+    j = rng.integers(cb.per_bin, size=trials)
+    x = transmit(cb.codewords[w * cb.per_bin + j], rng)
+    if isinstance(link, MainChannel):
+        w_hat, j_hat = ml_decode_main(main_observe(x, link, rng), link, cb)
+        wrong = (w_hat != w) | (j_hat != j)
+    elif isinstance(link, EveTrace):
+        wrong = eve_bin_decode(eve_observe(x, link), w, link, cb) != j
+    else:
+        raise TypeError("link must be a MainChannel or an EveTrace")
+    p_hat = int(np.count_nonzero(wrong)) / trials
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def main_channel_trial(ch: MainChannel):
-    """Trial closure: full pipeline through the main channel and decoder."""
-
-    def run(cb: Codebook, i: int, j: int, rng) -> bool:
-        y = main_observe(transmit(cb.codeword(i, j), rng), ch, rng)
-        return ml_decode_main(y, ch, cb) != (i, j)
-
-    return run
-
-
-def eve_channel_trial(trace: EveTrace):
-    """Trial closure: the eavesdropper decodes within a known bin."""
-
-    def run(cb: Codebook, i: int, j: int, rng) -> bool:
-        z = eve_observe(transmit(cb.codeword(i, j), rng), trace)
-        return eve_bin_decode(z, i, trace, cb) != j
-
-    return run
+def codebook_ensemble(bp: BinningParams, pc: PowerConfig, books: int, rng, stat):
+    """Mean and standard error, std(ddof=1) / sqrt(books), of ``stat(codebook)``
+    (a number or a tuple of numbers) across ``books`` fresh codebooks."""
+    vals = np.array([stat(sample_codebook(bp, pc, rng)) for _ in range(books)], dtype=float)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(books)
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,17 @@ from .channel import (
     eve_observe,
 )
 from .codebook import (
+    _SAMPLE_BATCH,
     BinningParams,
     Codebook,
+    _pairwise_sqdist,
     check_toy_caps,
+    codebook_ensemble,
     estimate_decode_error,
-    eve_channel_trial,
-    sample_codebook,
 )
 from .quantization import truncation_exponent, truncation_mass
 
 LOG_RATIO_CLIP = 700.0
-_SAMPLE_BATCH = 512
 
 
 def _density_bits(x, z, trace: EveTrace, p_prime: float):
@@ -154,13 +154,6 @@ def info_density_tail(
 
 # ---------------------------------------------------------------------------
 # Gaussian-mixture machinery (flattened observations, unit noise)
-
-
-def _pairwise_sqdist(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
-    zn = np.sum(np.abs(z_flat) ** 2, axis=1)[:, None].real
-    cn = np.sum(np.abs(centers_flat) ** 2, axis=1)[None, :].real
-    cross = (z_flat @ centers_flat.conj().T).real
-    return np.maximum(zn + cn - 2.0 * cross, 0.0)
 
 
 def mixture_logpdf(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
@@ -393,14 +386,11 @@ def eve_error_symmetry_check(
         raise ValueError("need at least two codebooks per trace")
     results = []
     for trace in (trace_a, trace_b):
-        trial = eve_channel_trial(trace)
-        per_book = [
-            estimate_decode_error(sample_codebook(bp, pc, rng), trial, trials, rng)[0]
-            for _ in range(n_codebooks)
-        ]
-        eta = float(np.mean(per_book))
-        stderr = float(np.std(per_book, ddof=1) / math.sqrt(n_codebooks))
-        results.append((eta, stderr))
+        eta, stderr = codebook_ensemble(
+            bp, pc, n_codebooks, rng,
+            lambda cb: estimate_decode_error(cb, trace, trials, rng)[0],
+        )
+        results.append((float(eta), float(stderr)))
     (eta_a, se_a), (eta_b, se_b) = results
     return SymmetryCheck(
         eta_a=eta_a,

@@ -27,15 +27,6 @@ def _convention_scale(convention: str) -> float:
     return 0.5 if convention == "half" else 1.0
 
 
-def effective_power(pbar: float, n_antennas: int) -> float:
-    """Code power left after reserving one unit per antenna for noise."""
-    if pbar < 0:
-        raise ValueError("power budget must be nonnegative")
-    if n_antennas < 1:
-        raise ValueError("need at least one antenna")
-    return max(float(pbar) - n_antennas, 0.0)
-
-
 def capacity_term(x: float, convention: str = "full") -> float:
     """Gaussian capacity log2(1 + x) bits (halved under the half convention)."""
     scale = _convention_scale(convention)
@@ -285,7 +276,7 @@ def bc_region(
     """Time-sharing secrecy rate region of the two-receiver broadcast model:
     the triangle spanned by the two single-user corner points."""
     n_t = _square_pair(ch1, ch2)
-    p = effective_power(pbar, n_t)
+    p = PowerConfig(pbar, 0.0, n_t).p
     c1 = _single_user_rate(ch1, p, n_t, n_eve, convention)
     c2 = _single_user_rate(ch2, p, n_t, n_eve, convention)
     raw = np.array([(0.0, 0.0), (c1, 0.0), (0.0, c2)])

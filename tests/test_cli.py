@@ -163,6 +163,17 @@ def test_simulate_refuses_overflowing_blocklength(tmp_path):
     assert code == 3
 
 
+def test_simulate_refuses_overflowing_bin_count(tmp_path, capsys):
+    # a huge power budget puts 2^(n rate) past a float at n = 8
+    cfg = _write_cfg(tmp_path, "sim.json", {"pbar": 1e30, "n_values": [8]})
+    code, out = _run(tmp_path, "simulate", "--config", cfg, "--seed", "1")
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("refusing oversized run") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_rate_rejects_non_finite_power(tmp_path):
     cfg = _write_cfg(
         tmp_path, "rate.json",

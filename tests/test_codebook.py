@@ -14,8 +14,6 @@ from avwiretap.codebook import (
     encode,
     estimate_decode_error,
     eve_bin_decode,
-    eve_channel_trial,
-    main_channel_trial,
     ml_decode_main,
     sample_codebook,
     two_stage_encode,
@@ -163,7 +161,7 @@ def test_ml_decode_high_snr_error_rate(rng):
     bp = BinningParams(n=6, rate_bits=0.5, n_bins=4, per_bin=2, delta_n=0.1,
                        delta_prime=0.1, mode="strong")
     cb = sample_codebook(bp, pc, rng)
-    err, _ = estimate_decode_error(cb, main_channel_trial(ch), 2000, rng)
+    err, _ = estimate_decode_error(cb, ch, 2000, rng)
     assert err < 1e-3
 
 
@@ -178,7 +176,7 @@ def test_ml_decode_error_grows_above_channel_rate(rng):
         bp = BinningParams(n=n, rate_bits=0.875, n_bins=n_bins, per_bin=2,
                            delta_n=0.1, delta_prime=0.1, mode="strong")
         cb = sample_codebook(bp, pc, rng)
-        errs.append(estimate_decode_error(cb, main_channel_trial(ch), trials, rng)[0])
+        errs.append(estimate_decode_error(cb, ch, trials, rng)[0])
     assert errs[0] < errs[2]
     assert errs[2] > 0.7
 
@@ -211,9 +209,8 @@ def test_eve_bin_error_falls_as_blocklength_grows(rng):
         bp = BinningParams(n=n, rate_bits=0.6, n_bins=1, per_bin=per_bin,
                            delta_n=0.4, delta_prime=0.1, mode="weak")
         trace = EveTrace.random(1, 2, n, rng)
-        trial = eve_channel_trial(trace)
         errs = [
-            estimate_decode_error(sample_codebook(bp, pc, rng), trial, 300, rng)[0]
+            estimate_decode_error(sample_codebook(bp, pc, rng), trace, 300, rng)[0]
             for _ in range(6)
         ]
         means.append(float(np.mean(errs)))
@@ -222,13 +219,9 @@ def test_eve_bin_error_falls_as_blocklength_grows(rng):
 
 def test_estimate_decode_error_zero_noise(zero_noise, rng):
     ch, _, _, cb = _toy_setup(rng)
-
-    def clean_trial(book, i, j, _):
-        y = ch.h @ book.codeword(i, j)
-        return ml_decode_main(y, ch, book) != (i, j)
-
-    err, se = estimate_decode_error(cb, clean_trial, 50, rng)
-    assert err == 0.0 and se == 0.0
+    for link in (ch, EveTrace.random(1, 2, cb.n, rng)):
+        err, se = estimate_decode_error(cb, link, 50, zero_noise)
+        assert err == 0.0 and se == 0.0
 
 
 def test_estimate_decode_error_single_codeword(rng):
@@ -237,17 +230,16 @@ def test_estimate_decode_error_single_codeword(rng):
                        delta_prime=0.1, mode="strong")
     cb = sample_codebook(bp, pc, rng)
     ch = MainChannel(np.eye(2))
-    err, _ = estimate_decode_error(cb, main_channel_trial(ch), 50, rng)
+    err, _ = estimate_decode_error(cb, ch, 50, rng)
     assert err == 0.0
 
 
 def test_estimate_decode_error_brackets_high_precision_rerun(rng):
     ch, _, _, cb = _toy_setup(rng, pbar=5.0)
-    trial = main_channel_trial(ch)
     hits = 0
     for _ in range(20):
-        a, se_a = estimate_decode_error(cb, trial, 250, rng)
-        b, se_b = estimate_decode_error(cb, trial, 2500, rng)
+        a, se_a = estimate_decode_error(cb, ch, 250, rng)
+        b, se_b = estimate_decode_error(cb, ch, 2500, rng)
         hits += abs(a - b) <= 3 * math.hypot(se_a, se_b)
     assert hits >= 18
 

@@ -14,21 +14,12 @@ from avwiretap.channel import (
 from avwiretap.rates import (
     capacity_term,
     converse_rate_bound,
-    effective_power,
     leakage_cap,
     main_mutual_info,
     sdof,
     sdof_slope,
     secrecy_rate,
 )
-
-
-def test_effective_power_examples():
-    assert effective_power(10, 2) == 8.0
-    assert effective_power(1, 2) == 0.0
-    assert effective_power(2, 2) == 0.0
-    with pytest.raises(ValueError):
-        effective_power(-1, 2)
 
 
 def test_capacity_term_examples():

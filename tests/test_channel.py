@@ -239,8 +239,6 @@ def test_power_config_derived_fields():
     assert pc.per_antenna_var == pytest.approx(2.0)
     assert pc.p_prime == pytest.approx(3.0)
     assert PowerConfig(pbar=1.0, eps_p=0.0, n_tx=2).p == 0.0
-    assert PowerConfig(pbar=2.0, eps_p=0.0, n_tx=2).p == 0.0
-    assert PowerConfig(pbar=10, eps_p=0.0, n_tx=2).p == 8.0
 
 
 def test_power_config_validation():

@@ -22,6 +22,15 @@ from avwiretap.rates import (
 )
 
 
+def test_effective_power_examples():
+    """Code power left after one unit per antenna is reserved for noise."""
+    assert PowerConfig(pbar=10, eps_p=0.0, n_tx=2).p == 8.0
+    assert PowerConfig(pbar=1, eps_p=0.0, n_tx=2).p == 0.0
+    assert PowerConfig(pbar=2, eps_p=0.0, n_tx=2).p == 0.0
+    with pytest.raises(ValueError):
+        PowerConfig(pbar=-1, eps_p=0.0, n_tx=2)
+
+
 def test_capacity_term_examples():
     assert capacity_term(0.0) == 0.0
     assert capacity_term(1.0) == pytest.approx(1.0)

@@ -51,9 +51,9 @@ def complex_normal(rng, shape, var: float = 1.0) -> np.ndarray:
 
     Real and imaginary parts each carry half the variance.
     """
-    parts = rng.standard_normal(size=(*tuple(shape), 2))
-    z = parts[..., 0] + 1j * parts[..., 1]
-    return z * np.sqrt(var / 2.0)
+    z = rng.standard_normal(size=(*tuple(shape), 2)).view(np.complex128)[..., 0]
+    z *= np.sqrt(var / 2.0)
+    return z
 
 
 @dataclass(frozen=True)

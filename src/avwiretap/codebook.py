@@ -230,30 +230,51 @@ def encode(w: int, cb: Codebook, rng) -> tuple[np.ndarray, int]:
     return cb.codeword(w, j), j
 
 
-# Rows (decoder trials or mixture samples) per pairwise-distance product,
-# so no batch builds a (rows, centers) matrix taller than this.
+# Rows (decoder trials or mixture samples) per distance buffer, so no batch
+# builds a (rows, centers) matrix taller than this.
 _SAMPLE_BATCH = 512
 
 
-def _pairwise_sqdist(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of z_flat and of centers_flat."""
-    zn = np.sum(np.abs(z_flat) ** 2, axis=1)[:, None].real
-    cn = np.sum(np.abs(centers_flat) ** 2, axis=1)[None, :].real
-    cross = (z_flat @ centers_flat.conj().T).real
-    return np.maximum(zn + cn - 2.0 * cross, 0.0)
+def _image(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex rows (count, dim) as one real (count, 2 dim) array [re | im],
+    with their squared norms; for the centers, this is the codebook image."""
+    r = np.concatenate([rows.real, rows.imag], axis=1)
+    return r, np.einsum("ij,ij->i", r, r)
+
+
+def _neg_sqdist(z_flat: np.ndarray, image) -> np.ndarray:
+    """-|z - c|^2, clamped at <= 0, for every row z and image center c, in
+    one (rows, count) buffer: a real GEMM, then in-place shifts."""
+    z, z_sq = _image(z_flat)
+    c, c_sq = image
+    d = z @ c.T
+    d *= 2.0
+    d -= z_sq[:, None]
+    d -= c_sq
+    return np.minimum(d, 0.0, out=d)
+
+
+def _binned_lse(a: np.ndarray, groups: int) -> np.ndarray:
+    """Log-sum-exp of each of ``groups`` equal column blocks of a, (rows,
+    groups); a max-shift in place, so ``a`` is overwritten."""
+    a = a.reshape(a.shape[0], groups, a.shape[1] // groups)
+    top = a.max(axis=2, keepdims=True)
+    a -= top
+    return np.log(np.exp(a, out=a).sum(axis=2)) + top[..., 0]
 
 
 def _nearest(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
     """Index of the nearest center per row, ties to the smallest index; the
     expanded distance rounds differently per center, even for equal centers,
     so distances within 1e-12 of the squared norms count as tied."""
-    c_max = np.max(np.sum(np.abs(centers_flat) ** 2, axis=1))
+    image = _image(centers_flat)
+    c_max = np.max(image[1])
     out = []
     for s in range(0, z_flat.shape[0], _SAMPLE_BATCH):
         z = z_flat[s : s + _SAMPLE_BATCH]
-        d = _pairwise_sqdist(z, centers_flat)
+        d = _neg_sqdist(z, image)
         slack = 1e-12 * (np.sum(np.abs(z) ** 2, axis=1) + c_max)
-        out.append(np.argmax(d <= (d.min(axis=1) + slack)[:, None], axis=1))
+        out.append(np.argmax(d >= (d.max(axis=1) - slack)[:, None], axis=1))
     return np.concatenate(out)
 
 

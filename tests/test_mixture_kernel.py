@@ -1,0 +1,132 @@
+"""Property tests for the real-arithmetic distance and log-sum-exp kernel
+behind the exact mixtures: ``mixture_logpdf`` and ``estimate_leakage_mi``
+agree with direct broadcast distances and scipy's log-sum-exp, far from
+every center and across more than one chunk, and one leakage estimate stays
+inside a fixed memory budget.  Also pins ``complex_normal`` to its draw."""
+
+import math
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
+
+from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe
+from avwiretap.codebook import (
+    _SAMPLE_BATCH,
+    BinningParams,
+    binning_params,
+    sample_codebook,
+)
+from avwiretap.leakage import estimate_leakage_mi, mixture_logpdf
+from avwiretap.rates import main_mutual_info
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _reference_logpdf(z, centers):
+    """ln of the equal-weight unit-noise mixture from broadcast distances."""
+    sq = np.sum(np.abs(z[:, None, :] - centers[None]) ** 2, axis=2)
+    return logsumexp(-sq, axis=1) - math.log(len(centers)) - z.shape[1] * math.log(math.pi)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3, 17, _SAMPLE_BATCH + 1, 2 * _SAMPLE_BATCH + 7]),
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_mixture_logpdf_matches_broadcast_reference(seed, rows, count, dim, far):
+    rng = np.random.default_rng(seed)
+    centers = complex_normal(rng, (count, dim), var=3.0)
+    z = complex_normal(rng, (rows, dim), var=5.0)
+    if far:
+        # push every row out to |z| = 1e3, far from every center
+        z *= 1e3 / np.linalg.norm(z, axis=1, keepdims=True)
+    got = mixture_logpdf(z, centers)
+    assert got.shape == (rows,) and np.all(np.isfinite(got))
+    assert np.max(np.abs(got - _reference_logpdf(z, centers))) <= 1e-9
+
+
+def _reference_leakage_mi(cb, trace, samples, rng):
+    """The per-bin estimator loop: direct distances, one scipy log-sum-exp
+    over the whole book and one per distinct message of each batch."""
+    centers = eve_observe(cb.codewords, trace).reshape(cb.size, -1)
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        b = min(_SAMPLE_BATCH, samples - done)
+        w = rng.integers(cb.n_bins, size=b)
+        j = rng.integers(cb.per_bin, size=b)
+        x = cb.codewords[w * cb.per_bin + j]
+        z = eve_observe(x + complex_normal(rng, x.shape), trace).reshape(b, -1)
+        sq = np.sum(np.abs(z[:, None, :] - centers[None]) ** 2, axis=2)
+        log_all = logsumexp(-sq, axis=1) - math.log(cb.size)
+        batch = np.empty(b)
+        for w_val in np.unique(w):
+            rows = np.nonzero(w == w_val)[0]
+            cols = slice(w_val * cb.per_bin, (w_val + 1) * cb.per_bin)
+            log_bin = logsumexp(-sq[rows, cols], axis=1) - math.log(cb.per_bin)
+            batch[rows] = (log_bin - log_all[rows]) / math.log(2)
+        total += float(np.sum(batch))
+        total_sq += float(np.sum(batch**2))
+        done += b
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from([2, 37, _SAMPLE_BATCH + 3]),
+)
+def test_leakage_mi_matches_per_bin_reference(seed, n_bins, per_bin, n, samples):
+    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
+    bp = BinningParams(n=n, rate_bits=1.0, n_bins=n_bins, per_bin=per_bin,
+                       delta_n=0.5, delta_prime=0.25, mode="strong")
+    rng = np.random.default_rng(seed)
+    cb = sample_codebook(bp, pc, rng)
+    trace = EveTrace.random(1, 2, n, rng)
+    mi, se = estimate_leakage_mi(cb, trace, samples, np.random.default_rng(seed + 1))
+    ref_mi, ref_se = _reference_leakage_mi(cb, trace, samples, np.random.default_rng(seed + 1))
+    assert abs(mi - ref_mi) <= 1e-12
+    assert abs(se - ref_se) <= 1e-12
+
+
+def test_leakage_mi_memory_on_largest_default_book():
+    # the default simulate's n = 8 book: 4 bins of 4096 codewords
+    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
+    i_main = main_mutual_info(MainChannel(np.eye(2)), pc)
+    bp = binning_params(i_main, math.log2(pc.p_prime), 8, 0.5, 0.25, "strong")
+    assert (bp.n_bins, bp.per_bin) == (4, 4096)
+    rng = np.random.default_rng(5)
+    cb = sample_codebook(bp, pc, rng)
+    trace = EveTrace.random(1, 2, 8, rng)
+    tracemalloc.start()
+    try:
+        estimate_leakage_mi(cb, trace, _SAMPLE_BATCH, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (512, 16384) float64 distance buffer alone is 67 MB
+    assert peak < 96e6
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 5), max_size=3).map(tuple),
+    st.sampled_from([1.0, 0.3, 7.5]),
+)
+def test_complex_normal_splits_one_standard_normal_draw(seed, shape, var):
+    z = complex_normal(np.random.default_rng(seed), shape, var=var)
+    parts = np.random.default_rng(seed).standard_normal((*shape, 2)) * np.sqrt(var / 2.0)
+    assert z.dtype == np.complex128 and z.shape == shape and z.flags.c_contiguous
+    assert np.array_equal(z.real, parts[..., 0])
+    assert np.array_equal(z.imag, parts[..., 1])

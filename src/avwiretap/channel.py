@@ -194,7 +194,9 @@ class EveTrace:
     stacked: np.ndarray
 
     def __post_init__(self):
-        stack = state_stack(np.array(self.stacked, dtype=np.complex128))
+        stack = np.array(self.stacked, dtype=np.complex128)
+        if stack.ndim != 3:
+            raise DimensionError("state sequence must have shape (n, n_eve, n_tx)")
         stack = _eve_stack(stack, canonical=True)
         stack.flags.writeable = False
         object.__setattr__(self, "stacked", stack)
@@ -280,12 +282,12 @@ def main_observe(x, ch: MainChannel, rng) -> np.ndarray:
 
 
 def state_stack(states) -> np.ndarray:
-    """The (n, n_eve, n_tx) matrices of a trace or of a raw state stack."""
+    """The (..., n, n_eve, n_tx) matrices of a trace or of a raw state stack."""
     if isinstance(states, EveTrace):
         return states.stacked
     stack = as_complex_matrix(states, stacked=True)
-    if stack.ndim != 3:
-        raise DimensionError("state sequence must have shape (n, n_eve, n_tx)")
+    if stack.ndim < 3:
+        raise DimensionError("state sequence must have shape (..., n, n_eve, n_tx)")
     return stack
 
 
@@ -293,17 +295,18 @@ def eve_observe(x, states) -> np.ndarray:
     """Noiseless eavesdropper observation, one state per channel use.
 
     ``x`` is one block (n_tx, n) or a batch (..., n_tx, n); ``states`` is an
-    ``EveTrace`` or a raw (n, n_eve, n_tx) stack such as a snapped grid.
-    Column i of each block goes through state i.
+    ``EveTrace``, a raw (n, n_eve, n_tx) stack such as a snapped grid, or a
+    batch of sequences (..., n, n_eve, n_tx) that broadcasts against the
+    blocks.  Column i of each block goes through state i.
     """
     stack = state_stack(states)
     x = as_complex_matrix(x, stacked=True)
-    n, _, n_tx = stack.shape
+    n, _, n_tx = stack.shape[-3:]
     if x.shape[-2:] != (n_tx, n):
         raise DimensionError(
             f"signal blocks are {x.shape[-2:]} but the trace expects ({n_tx}, {n})"
         )
-    return np.einsum("iet,...ti->...ei", stack, x)
+    return np.einsum("...iet,...ti->...ei", stack, x)
 
 
 def effective_noise_cov(ch: MainChannel) -> np.ndarray:

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,10 +60,21 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_CAPPED = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
     """Configuration file or parameter problem."""
+
+
+@contextmanager
+def _config_read():
+    """Report a missing key or a wrongly typed value met while reading the
+    config as a ConfigError; past the reading, such errors are bugs."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"bad config value: {exc!r}") from exc
 
 
 @dataclass
@@ -175,10 +187,11 @@ def _run_tasks(tasks, threads: int):
 
 
 def cmd_rate(cfg: dict, convention: str) -> ResultTable:
-    ch = MainChannel(parse_matrix(_require(cfg, "channel")))
-    n_eve = int(_require(cfg, "n_eve"))
-    eps_p = float(cfg.get("eps_p", 0.0))
-    grid = _power_grid(_require(cfg, "pbar_grid"))
+    with _config_read():
+        ch = MainChannel(parse_matrix(_require(cfg, "channel")))
+        n_eve = int(_require(cfg, "n_eve"))
+        eps_p = float(cfg.get("eps_p", 0.0))
+        grid = _power_grid(_require(cfg, "pbar_grid"))
     table = ResultTable(
         columns=["pbar", "p", "main_mi", "leakage_cap", "secrecy_rate", "converse_bound"]
     )
@@ -197,20 +210,22 @@ def cmd_rate(cfg: dict, convention: str) -> ResultTable:
 
 
 def cmd_region(cfg: dict, convention: str) -> ResultTable:
-    model = _require(cfg, "model")
-    if model not in ("mac", "bc"):
-        raise ConfigError("model must be 'mac' or 'bc'")
-    ch1 = MainChannel(parse_matrix(_require(cfg, "channel1")))
-    ch2 = MainChannel(parse_matrix(_require(cfg, "channel2")))
-    pbar = float(_require(cfg, "pbar"))
-    n_eve = int(_require(cfg, "n_eve"))
+    with _config_read():
+        model = _require(cfg, "model")
+        if model not in ("mac", "bc"):
+            raise ConfigError("model must be 'mac' or 'bc'")
+        ch1 = MainChannel(parse_matrix(_require(cfg, "channel1")))
+        ch2 = MainChannel(parse_matrix(_require(cfg, "channel2")))
+        pbar = float(_require(cfg, "pbar"))
+        n_eve = int(_require(cfg, "n_eve"))
+        if model == "mac":
+            grid_cfg = cfg.get("alpha_grid", {})
+            alphas = np.linspace(
+                float(grid_cfg.get("start", 0.01)),
+                float(grid_cfg.get("stop", 1.0)),
+                int(grid_cfg.get("num", 101)),
+            )
     if model == "mac":
-        grid_cfg = cfg.get("alpha_grid", {})
-        alphas = np.linspace(
-            float(grid_cfg.get("start", 0.01)),
-            float(grid_cfg.get("stop", 1.0)),
-            int(grid_cfg.get("num", 101)),
-        )
         region = mac_region(ch1, ch2, pbar, n_eve, alphas, convention)
     else:
         region = bc_region(ch1, ch2, pbar, n_eve, convention)
@@ -223,27 +238,28 @@ def cmd_region(cfg: dict, convention: str) -> ResultTable:
 
 
 def cmd_simulate(cfg: dict, seed: int, threads: int) -> ResultTable:
-    pbar = float(cfg.get("pbar", 6.0))
-    eps_p = float(cfg.get("eps_p", 0.5))
-    n_tx = int(cfg.get("n_tx", 2))
-    n_eve = int(cfg.get("n_eve", 1))
-    n_values = [int(v) for v in cfg.get("n_values", [2, 4, 8])]
-    delta_n = float(cfg.get("delta_n", 0.5))
-    delta_prime = float(cfg.get("delta_prime", 0.25))
-    mode = cfg.get("mode", "strong")
-    distance_samples = int(cfg.get("distance_samples", 1_000))
-    mi_samples = int(cfg.get("mi_samples", 1_000))
-    error_trials = int(cfg.get("error_trials", 200))
-    books = int(cfg.get("codebooks", 4))
-    if distance_samples < 2 or mi_samples < 2 or error_trials < 1:
-        raise ConfigError("Monte Carlo budgets must be positive")
-    if books < 2:
-        raise ConfigError("need at least two codebooks per blocklength")
-    for n in n_values:
-        # refuse before binning_params sizes 2^(n rate) codewords
-        check_toy_caps(0, n)
-    w_count = int(cfg.get("w_subset", 4))
-    ch = MainChannel(parse_matrix(cfg.get("channel", {"identity": n_tx})))
+    with _config_read():
+        pbar = float(cfg.get("pbar", 6.0))
+        eps_p = float(cfg.get("eps_p", 0.5))
+        n_tx = int(cfg.get("n_tx", 2))
+        n_eve = int(cfg.get("n_eve", 1))
+        n_values = [int(v) for v in cfg.get("n_values", [2, 4, 8])]
+        delta_n = float(cfg.get("delta_n", 0.5))
+        delta_prime = float(cfg.get("delta_prime", 0.25))
+        mode = cfg.get("mode", "strong")
+        distance_samples = int(cfg.get("distance_samples", 1_000))
+        mi_samples = int(cfg.get("mi_samples", 1_000))
+        error_trials = int(cfg.get("error_trials", 200))
+        books = int(cfg.get("codebooks", 4))
+        if distance_samples < 2 or mi_samples < 2 or error_trials < 1:
+            raise ConfigError("Monte Carlo budgets must be positive")
+        if books < 2:
+            raise ConfigError("need at least two codebooks per blocklength")
+        for n in n_values:
+            # refuse before binning_params sizes 2^(n rate) codewords
+            check_toy_caps(0, n)
+        w_count = int(cfg.get("w_subset", 4))
+        ch = MainChannel(parse_matrix(cfg.get("channel", {"identity": n_tx})))
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)
     i_main = main_mutual_info(ch, pc)
     i_eve = n_eve * math.log2(pc.p_prime)
@@ -316,22 +332,23 @@ def cmd_verify(cfg: dict, seed: int, threads: int) -> ResultTable:
 
 
 def cmd_schedule(cfg: dict) -> ResultTable:
-    eps_prime = float(_require(cfg, "eps_prime"))
-    n_values = [int(v) for v in cfg.get("n_values", [1000])]
-    c_prime = float(cfg.get("c_prime", 0.05))
-    alpha_eps = float(cfg.get("alpha_eps", 0.05))
-    alpha_eps_p = float(cfg.get("alpha_eps_p", 0.05))
-    error_exponent = float(cfg.get("error_exponent", 0.5))
-    r0 = float(cfg.get("r0", 1.0))
-    pert_cfg = cfg.get("perturbation")
-    pert = None
-    if pert_cfg is not None:
-        pert = (
-            float(pert_cfg["p"]),
-            int(pert_cfg["n_tx"]),
-            int(pert_cfg["n_eve"]),
-            float(pert_cfg["eps"]),
-        )
+    with _config_read():
+        eps_prime = float(_require(cfg, "eps_prime"))
+        n_values = [int(v) for v in cfg.get("n_values", [1000])]
+        c_prime = float(cfg.get("c_prime", 0.05))
+        alpha_eps = float(cfg.get("alpha_eps", 0.05))
+        alpha_eps_p = float(cfg.get("alpha_eps_p", 0.05))
+        error_exponent = float(cfg.get("error_exponent", 0.5))
+        r0 = float(cfg.get("r0", 1.0))
+        pert_cfg = cfg.get("perturbation")
+        pert = None
+        if pert_cfg is not None:
+            pert = (
+                float(pert_cfg["p"]),
+                int(pert_cfg["n_tx"]),
+                int(pert_cfg["n_eve"]),
+                float(pert_cfg["eps"]),
+            )
     overhead, stage2 = two_stage_overhead(eps_prime, r0)
     table = ResultTable(
         columns=[
@@ -428,9 +445,13 @@ def main(argv=None) -> int:
     except ToyScaleError as exc:
         print(f"refusing oversized run: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        # anything else is a bug, not a bad input: one line, no traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     table.metadata.update(
         {
@@ -442,8 +463,12 @@ def main(argv=None) -> int:
         }
     )
     if out_path:
-        with open(out_path, "w") as fh:
-            table.write(fh)
+        try:
+            with open(out_path, "w") as fh:
+                table.write(fh)
+        except OSError as exc:
+            print(f"config error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         table.write(sys.stdout)
     if args.command == "verify":

@@ -1,5 +1,6 @@
 """Monte Carlo estimators for the secrecy side of the toy experiments:
-information density and its concentration, variational distance between
+information density, its concentration and its exact law (the difference of
+two Gamma variables whatever the state sequence), variational distance between
 the codebook-induced and ideal eavesdropper output laws, direct leakage
 estimation, and the supporting bound checks.
 
@@ -11,11 +12,12 @@ bin or over the whole book, so exact mixtures stay fast at toy scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, gammainc, gammaln, xlogy
 
 from .channel import (
     DimensionError,
@@ -52,6 +54,22 @@ def _density_bits(x, z, trace: EveTrace, p_prime: float):
     ) * math.log2(math.e)
 
 
+# Blocks per density draw, so one chunk of (blocks, n_tx, n) signals stays
+# a few MB whatever the trial count.
+_DENSITY_CHUNK = 2048
+
+
+def _density_chunks(trace: EveTrace, pc: PowerConfig, blocks: int, rng):
+    """Per-use densities of ``blocks`` pipeline blocks (code draw, artificial
+    noise, eavesdropper observation through the trace), yielded in chunks of
+    at most ``_DENSITY_CHUNK`` blocks."""
+    for done in range(0, blocks, _DENSITY_CHUNK):
+        b = min(_DENSITY_CHUNK, blocks - done)
+        xt = complex_normal(rng, (b, pc.n_tx, trace.n), var=pc.per_antenna_var)
+        x = xt + complex_normal(rng, (b, pc.n_tx, trace.n))
+        yield _density_bits(xt, eve_observe(x, trace), trace, pc.p_prime)
+
+
 def info_density(x, z, trace: EveTrace, pc: PowerConfig) -> float:
     """Per-use information density of (x, z) through the given trace.
 
@@ -65,6 +83,77 @@ def info_density(x, z, trace: EveTrace, pc: PowerConfig) -> float:
     if z.shape != (trace.n_eve, trace.n):
         raise DimensionError("observation and trace shapes disagree")
     return float(_density_bits(as_complex_matrix(x), z, trace, pc.p_prime))
+
+
+# Gauss-Legendre nodes of the exact density-law expectation.
+_LAW_NODES = 64
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(_LAW_NODES)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def density_law_cdf(t, k: float) -> np.ndarray:
+    """P(G1 - G2 <= t) for i.i.d. G1, G2 ~ Gamma(k), elementwise in t.
+
+    The expectation E[gammainc(k, t + G2); G2 > -t] over G2 is a 64-node
+    Gauss-Legendre rule on [k - 14 sqrt(k), k + 14 sqrt(k)], clipped at 0
+    and at -t so the integrand has no kink.  The law is symmetric, so the
+    upper tail P(G1 - G2 > t) is ``density_law_cdf(-t, k)``, computed
+    directly and so accurate in relative terms far out.
+    """
+    if k <= 0:
+        raise ValueError("gamma shape must be positive")
+    t = np.asarray(t, dtype=float)[..., None]
+    nodes, weights = _legendre_rule()
+    hi = k + 14.0 * math.sqrt(k)
+    lo = np.minimum(np.maximum(max(k - 14.0 * math.sqrt(k), 0.0), -t), hi)
+    g = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    pdf = np.exp(xlogy(k - 1.0, g) - g - gammaln(k))
+    inner = gammainc(k, np.maximum(t + g, 0.0))
+    return np.sum(inner * pdf * weights, axis=-1) * (0.5 * (hi - lo[..., 0]))
+
+
+def density_law_stat(dens, n: int, n_eve: int, pc: PowerConfig):
+    """Standardize per-use densities of blocklength n to the statistic
+    n (density - n_eve log2 p') ln 2 / sqrt(1 - 1/p').
+
+    For canonical states and unit artificial noise the density is a
+    quadratic form with eigenvalues +-sqrt(1 - 1/p'), so this statistic is
+    exactly G1 - G2 with G1, G2 i.i.d. Gamma(n_eve n), for every state
+    sequence (``density_law_cdf``).
+    """
+    if pc.p_prime <= 1.0:
+        raise ValueError("code power must be positive")
+    center = n_eve * math.log2(pc.p_prime)
+    return n * (np.asarray(dens) - center) * math.log(2) / math.sqrt(1.0 - 1.0 / pc.p_prime)
+
+
+def density_law_tail(n: int, delta: float, pc: PowerConfig, n_eve: int) -> float:
+    """Exact Pr[(1/n) density > n_eve log2(p') + delta], the estimand of
+    ``info_density_tail``, for canonical states and unit artificial noise."""
+    if delta <= 0:
+        raise ValueError("tail offset must be positive")
+    t = density_law_stat(n_eve * math.log2(pc.p_prime) + delta, n, n_eve, pc)
+    return float(density_law_cdf(-t, n_eve * n))
+
+
+def density_law_ks(trace: EveTrace, pc: PowerConfig, blocks: int, rng) -> float:
+    """sqrt(m) times the Kolmogorov-Smirnov distance between the standardized
+    densities of m = ``blocks`` pipeline blocks through the trace and their
+    exact law; asymptotically Kolmogorov-distributed under the law."""
+    if blocks < 1:
+        raise ValueError("need at least one block")
+    dens = np.concatenate(list(_density_chunks(trace, pc, blocks, rng)))
+    stat = np.sort(density_law_stat(dens, trace.n, trace.n_eve, pc))
+    cdf = density_law_cdf(stat, trace.n_eve * trace.n)
+    steps = np.arange(blocks + 1) / blocks
+    d = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
+    return math.sqrt(blocks) * float(d)
 
 
 def _clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> float:
@@ -112,24 +201,17 @@ def info_density_tail(
         def make_trace(n, r):
             return EveTrace.random(n_eve, pc.n_tx, n, r)
 
-    p_prime = pc.p_prime
-    threshold = n_eve * math.log2(p_prime) + delta
+    threshold = n_eve * math.log2(pc.p_prime) + delta
     estimates, uppers, means, sems = [], [], [], []
     for n in n_values:
         trace = make_trace(int(n), rng)
         hits = 0
         total = 0.0
         total_sq = 0.0
-        done = 0
-        while done < trials:
-            b = min(2048, trials - done)
-            xt = complex_normal(rng, (b, pc.n_tx, n), var=pc.per_antenna_var)
-            x = xt + complex_normal(rng, (b, pc.n_tx, n))
-            dens = _density_bits(xt, eve_observe(x, trace), trace, p_prime)
+        for dens in _density_chunks(trace, pc, trials, rng):
             hits += int(np.sum(dens > threshold))
             total += float(np.sum(dens))
             total_sq += float(np.sum(dens**2))
-            done += b
         estimates.append(hits / trials)
         uppers.append(_clopper_pearson_upper(hits, trials))
         mean = total / trials

@@ -110,10 +110,51 @@ def loglik_drift_bound(radii: PerturbationRadii) -> float:
 
 @dataclass(frozen=True)
 class PerturbationCheck:
+    """One instance's verdict; ``check_loglik_perturbation_batch`` returns
+    one whose fields are arrays over the batch."""
+
     applicable: bool
     lhs: float
     rhs: float
     holds: bool
+
+
+def check_loglik_perturbation_batch(
+    x, z, states_a, states_b, p: float, m: int, eps: float
+) -> PerturbationCheck:
+    """``check_loglik_perturbation`` on a batch of instances at once.
+
+    ``x`` is (..., n_tx, n), ``z`` is (..., n_eve, n), and the two state
+    sequences are (..., n, n_eve, n_tx), all with the same leading axes.
+    Inadmissible instances come back not applicable, with ``lhs`` and
+    ``rhs`` nan and ``holds`` false.
+    """
+    x = as_complex_matrix(x, stacked=True)
+    z = as_complex_matrix(z, stacked=True)
+    stack_a = state_stack(states_a)
+    stack_b = state_stack(states_b)
+    *batch, n_tx, n = x.shape
+    n_eve = z.shape[-2]
+    if (
+        z.shape != (*batch, n_eve, n)
+        or stack_a.shape != stack_b.shape
+        or stack_a.shape != (*batch, n, n_eve, n_tx)
+    ):
+        raise DimensionError("state sequences do not match the signal shapes")
+
+    radii = perturbation_radii(p, n_tx, n_eve, m, eps)
+    row_err = np.sum(np.abs(stack_a - stack_b) ** 2, axis=-1)
+    applicable = np.all(row_err < 2.0 * n_tx / m**2, axis=(-2, -1))
+    applicable &= np.sum(np.abs(x) ** 2, axis=(-2, -1)) / n <= p + 1e-12
+    residual = np.sum(np.abs(z - eve_observe(x, stack_a)) ** 2, axis=(-2, -1))
+    applicable &= residual / n < radii.r**2
+
+    other = np.sum(np.abs(z - eve_observe(x, stack_b)) ** 2, axis=(-2, -1))
+    lhs = np.where(applicable, np.abs(residual - other), np.nan)
+    rhs = np.where(applicable, n * loglik_drift_bound(radii), np.nan)
+    return PerturbationCheck(
+        applicable=applicable, lhs=lhs, rhs=rhs, holds=applicable & (lhs <= rhs)
+    )
 
 
 def check_loglik_perturbation(
@@ -126,33 +167,18 @@ def check_loglik_perturbation(
     ``rhs`` is n times the drift cap.  Instances that violate the
     admissibility preconditions (grid-snap row error, codeword power cap,
     residual radius) come back marked not applicable rather than failed.
+    A batch of one through ``check_loglik_perturbation_batch``.
     """
-    x = as_complex_matrix(x)
-    z = as_complex_matrix(z)
-    stack_a = state_stack(trace_a)
-    stack_b = state_stack(trace_b)
-    n_tx, n = x.shape
-    n_eve = z.shape[0]
-    if stack_a.shape != stack_b.shape or stack_a.shape != (n, n_eve, n_tx):
-        raise DimensionError("state sequences do not match the signal shapes")
-
-    radii = perturbation_radii(p, n_tx, n_eve, m, eps)
-    not_applicable = PerturbationCheck(False, math.nan, math.nan, False)
-
-    row_err = np.sum(np.abs(stack_a - stack_b) ** 2, axis=2)
-    if np.any(row_err >= 2.0 * n_tx / m**2):
-        return not_applicable
-    if np.sum(np.abs(x) ** 2) / n > p + 1e-12:
-        return not_applicable
-    clean_a = eve_observe(x, stack_a)
-    residual = float(np.sum(np.abs(z - clean_a) ** 2))
-    if residual / n >= radii.r**2:
-        return not_applicable
-
-    clean_b = eve_observe(x, stack_b)
-    lhs = abs(residual - float(np.sum(np.abs(z - clean_b) ** 2)))
-    rhs = n * loglik_drift_bound(radii)
-    return PerturbationCheck(applicable=True, lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    res = check_loglik_perturbation_batch(
+        as_complex_matrix(x)[None],
+        as_complex_matrix(z)[None],
+        state_stack(trace_a)[None],
+        state_stack(trace_b)[None],
+        p=p, m=m, eps=eps,
+    )
+    return PerturbationCheck(
+        res.applicable.item(), res.lhs.item(), res.rhs.item(), res.holds.item()
+    )
 
 
 def chernoff_exponent(eps: float, side: str = "upper") -> float:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from avwiretap.cli import main, parse_matrix, read_table
+from avwiretap import cli
+from avwiretap.cli import EXIT_INTERNAL, main, parse_matrix, read_table
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -193,6 +194,58 @@ def test_malformed_config_rejected(tmp_path):
 def test_missing_key_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, "rate.json", {"n_eve": 1, "pbar_grid": [10]})
     assert main(["rate", "--config", cfg]) == 1
+
+
+def test_config_type_and_key_errors_are_config_errors(tmp_path, capsys):
+    # a list where a number belongs, and a perturbation block missing "eps"
+    rate = _write_cfg(
+        tmp_path, "rate.json",
+        {"channel": {"identity": 2}, "n_eve": [1], "pbar_grid": [10]},
+    )
+    sched = _write_cfg(
+        tmp_path, "sched.json",
+        {"eps_prime": 0.01, "perturbation": {"p": 1, "n_tx": 2, "n_eve": 1}},
+    )
+    assert main(["rate", "--config", rate]) == 1
+    assert main(["schedule", "--config", sched]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "target, exc",
+    [("cmd_rate", RuntimeError("boom")), ("secrecy_rate", KeyError("bug")),
+     ("cmd_verify", TypeError("bug"))],
+)
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch, target, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, broken)
+    if target == "cmd_verify":
+        argv = ["verify", "--seed", "1"]
+    else:
+        argv = ["rate", "--config", _write_cfg(
+            tmp_path, "rate.json",
+            {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10]},
+        )]
+    code, out = _run(tmp_path, *argv)
+    assert code == EXIT_INTERNAL == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    cfg = _write_cfg(
+        tmp_path, "rate.json",
+        {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10]},
+    )
+    out = tmp_path / "missing-dir" / "out.csv"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and "Traceback" not in err
 
 
 def test_verify_light_suite_passes(tmp_path):

@@ -17,6 +17,7 @@ the master seed, so results are byte-identical for any ``--threads``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -75,6 +76,60 @@ def _config_read():
         yield
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad config value: {exc!r}") from exc
+
+
+# Thread-count symbols of the scipy-openblas wheels (64- and 32-bit integer
+# builds) and of a plain OpenBLAS.
+_OPENBLAS_SYMBOLS = [
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS loaded into
+    this process, found by path in /proc/self/maps; empty where there is
+    none."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread and give each
+    its previous count back on the way out.  The GEMMs here are too thin for
+    a second BLAS thread to pay, and an idle one spin-waits on a core that
+    ``--threads`` could use."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
 
 
 @dataclass
@@ -386,8 +441,16 @@ def _env(name: str, fallback=None):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError (exit 1), not through
+    argparse's exit 2, the code of a red verify battery."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avwiretap",
         description="secrecy-rate analysis and toy coding experiments for "
         "wiretap channels with arbitrarily varying eavesdroppers",
@@ -413,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
         seed = args.seed if args.seed is not None else _env("SEED")
         seed = int(seed) if seed is not None else None
@@ -429,16 +492,17 @@ def main(argv=None) -> int:
             raise ConfigError("convention must be 'full' or 'half'")
         out_path = args.out if args.out is not None else _env("OUT")
 
-        if args.command == "rate":
-            table = cmd_rate(cfg, convention)
-        elif args.command == "region":
-            table = cmd_region(cfg, convention)
-        elif args.command == "simulate":
-            table = cmd_simulate(cfg, seed, threads)
-        elif args.command == "verify":
-            table = cmd_verify(cfg, seed, threads)
-        else:
-            table = cmd_schedule(cfg)
+        with _one_blas_thread():
+            if args.command == "rate":
+                table = cmd_rate(cfg, convention)
+            elif args.command == "region":
+                table = cmd_region(cfg, convention)
+            elif args.command == "simulate":
+                table = cmd_simulate(cfg, seed, threads)
+            elif args.command == "verify":
+                table = cmd_verify(cfg, seed, threads)
+            else:
+                table = cmd_schedule(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .channel import (
     DimensionError,
@@ -233,34 +232,62 @@ def encode(w: int, cb: Codebook, rng) -> tuple[np.ndarray, int]:
 # Rows (decoder trials or mixture samples) per distance buffer, so no batch
 # builds a (rows, centers) matrix taller than this.
 _SAMPLE_BATCH = 512
+# A bin whose shift-free exp-sum falls below this has lost precision to
+# underflow (its nearest center is hundreds of units away), so its row is
+# recomputed with a max-shift.
+_EXP_SUM_FLOOR = 1e-250
 
 
-def _image(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex rows (count, dim) as one real (count, 2 dim) array [re | im],
-    with their squared norms; for the centers, this is the codebook image."""
-    r = np.concatenate([rows.real, rows.imag], axis=1)
-    return r, np.einsum("ij,ij->i", r, r)
+def _image(centers: np.ndarray) -> np.ndarray:
+    """Complex centers (count, dim) as the real augmented image (count,
+    2 dim + 2) [2 re c | 2 im c | -|c|^2 | -1], the codebook side of
+    ``_neg_sqdist``."""
+    count, dim = centers.shape
+    image = np.empty((count, 2 * dim + 2))
+    image[:, :dim] = centers.real
+    image[:, dim:-2] = centers.imag
+    image[:, -2] = -np.einsum("ij,ij->i", image[:, :-2], image[:, :-2])
+    image[:, :-2] *= 2.0
+    image[:, -1] = -1.0
+    return image
 
 
-def _neg_sqdist(z_flat: np.ndarray, image) -> np.ndarray:
-    """-|z - c|^2, clamped at <= 0, for every row z and image center c, in
-    one (rows, count) buffer: a real GEMM, then in-place shifts."""
-    z, z_sq = _image(z_flat)
-    c, c_sq = image
-    d = z @ c.T
-    d *= 2.0
-    d -= z_sq[:, None]
-    d -= c_sq
-    return np.minimum(d, 0.0, out=d)
+def _neg_sqdist(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """-|z - c|^2 for every complex row z and image center c, in one (rows,
+    count) buffer written by one real GEMM of the rows [re z | im z | 1 |
+    |z|^2] against the augmented image."""
+    rows, dim = z_flat.shape
+    z = np.empty((rows, 2 * dim + 2))
+    z[:, :dim] = z_flat.real
+    z[:, dim:-2] = z_flat.imag
+    z[:, -2] = 1.0
+    z[:, -1] = np.einsum("ij,ij->i", z[:, :-2], z[:, :-2])
+    return z @ image.T
 
 
-def _binned_lse(a: np.ndarray, groups: int) -> np.ndarray:
-    """Log-sum-exp of each of ``groups`` equal column blocks of a, (rows,
-    groups); a max-shift in place, so ``a`` is overwritten."""
+def _lse(a: np.ndarray, groups: int) -> np.ndarray:
+    """Max-shift log-sum-exp of each of ``groups`` equal column blocks of a,
+    (rows, groups); ``a`` is overwritten."""
     a = a.reshape(a.shape[0], groups, a.shape[1] // groups)
     top = a.max(axis=2, keepdims=True)
     a -= top
     return np.log(np.exp(a, out=a).sum(axis=2)) + top[..., 0]
+
+
+def _binned_lse(z_flat: np.ndarray, image: np.ndarray, groups: int) -> np.ndarray:
+    """ln sum exp(-|z - c|^2) over each of ``groups`` equal column blocks of
+    the image, (rows, groups): the distance buffer is exponentiated in place
+    without a shift and summed per bin.  A row where some bin's sum falls
+    below ``_EXP_SUM_FLOOR`` is recomputed through the max-shift ``_lse``."""
+    d = _neg_sqdist(z_flat, image)
+    sums = np.exp(d, out=d).reshape(d.shape[0], groups, image.shape[0] // groups).sum(axis=2)
+    del d
+    low = np.min(sums, axis=1) < _EXP_SUM_FLOOR
+    sums[low] = 1.0
+    out = np.log(sums, out=sums)
+    if low.any():
+        out[low] = _lse(_neg_sqdist(z_flat[low], image), groups)
+    return out
 
 
 def _nearest(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
@@ -268,7 +295,7 @@ def _nearest(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
     expanded distance rounds differently per center, even for equal centers,
     so distances within 1e-12 of the squared norms count as tied."""
     image = _image(centers_flat)
-    c_max = np.max(image[1])
+    c_max = -np.min(image[:, -2])
     out = []
     for s in range(0, z_flat.shape[0], _SAMPLE_BATCH):
         z = z_flat[s : s + _SAMPLE_BATCH]
@@ -292,7 +319,7 @@ def ml_decode_main(y, ch: MainChannel, cb: Codebook):
     if ch.n_tx != cb.n_tx:
         raise DimensionError("channel and codebook disagree on transmit antennas")
     chol = np.linalg.cholesky(effective_noise_cov(ch))
-    whiten = solve_triangular(chol, np.eye(ch.n_rx), lower=True)
+    whiten = np.linalg.inv(chol)
     clean = (whiten @ ch.h @ cb.codewords).reshape(cb.size, -1)
     k = _nearest((whiten @ y).reshape(-1, clean.shape[1]), clean).reshape(y.shape[:-2])
     return divmod(int(k), cb.per_bin) if y.ndim == 2 else np.divmod(k, cb.per_bin)

@@ -5,9 +5,11 @@ the codebook-induced and ideal eavesdropper output laws, direct leakage
 estimation, and the supporting bound checks.
 
 Every Gaussian mixture is evaluated in the log domain by the codebook
-kernel: -|z - c|^2 for a batch in one real buffer (a real GEMM on stacked
-real/imag parts), then an in-place max-shift log-sum-exp (not scipy's) per
-bin or over the whole book, so exact mixtures stay fast at toy scale.
+kernel: -|z - c|^2 for a batch in one real buffer (one real GEMM of the
+augmented sample rows against the augmented codebook image), then an
+in-place exp and a per-bin sum (not scipy's log-sum-exp), with a max-shift
+only for rows whose sums underflow, so exact mixtures stay fast at toy
+scale.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .codebook import (
     Codebook,
     _binned_lse,
     _image,
-    _neg_sqdist,
+    _lse,
     check_toy_caps,
     codebook_ensemble,
     estimate_decode_error,
@@ -243,7 +245,7 @@ def info_density_tail(
 
 def mixture_logpdf(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
     """ln of the equal-weight unit-noise Gaussian mixture at the centers."""
-    lse = _binned_lse(_neg_sqdist(z_flat, _image(centers_flat)), 1)[:, 0]
+    lse = _binned_lse(z_flat, _image(centers_flat), 1)[:, 0]
     return lse - math.log(centers_flat.shape[0]) - z_flat.shape[1] * math.log(math.pi)
 
 
@@ -369,9 +371,9 @@ def estimate_leakage_mi(
         x = cb.codewords[w * cb.per_bin + j]
         noisy = x + complex_normal(rng, x.shape)
         z = eve_observe(noisy, trace).reshape(b, -1)
-        lb = _binned_lse(_neg_sqdist(z, image), cb.n_bins)
+        lb = _binned_lse(z, image, cb.n_bins)
         log_bin = lb[np.arange(b), w] - math.log(cb.per_bin)
-        log_all = _binned_lse(lb, 1)[:, 0] - math.log(cb.size)
+        log_all = _lse(lb, 1)[:, 0] - math.log(cb.size)
         vals = (log_bin - log_all) / math.log(2)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))

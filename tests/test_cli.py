@@ -1,11 +1,14 @@
+import ctypes
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from avwiretap import cli
-from avwiretap.cli import EXIT_INTERNAL, main, parse_matrix, read_table
+from avwiretap.cli import EXIT_INTERNAL, ConfigError, main, parse_matrix, read_table
+from avwiretap.codebook import ToyScaleError
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -235,6 +238,86 @@ def test_internal_error_exits_4(tmp_path, capsys, monkeypatch, target, exc):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rate", "--bogus"], [], ["frobnicate"], ["simulate", "--threads", "two"],
+     ["rate", "--convention", "quarter"]],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own exit 2 would read as a red verify battery
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: avwiretap") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def _openblas_setters():
+    """{path: (get, set)} thread-count functions of each OpenBLAS loaded
+    into this process, read independently of the CLI's own lookup."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return {}
+    found = {}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                       "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found[path] = (get, put)
+                break
+    return found
+
+
+def _openblas_threads(libs):
+    return {path: get() for path, (get, _) in libs.items()}
+
+
+@pytest.mark.parametrize(
+    "raised, code",
+    [(None, 0), (ConfigError("bad"), 1), (ToyScaleError("big"), 3), (RuntimeError("bug"), 4)],
+)
+def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, capsys, raised, code):
+    libs = _openblas_setters()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    original = _openblas_threads(libs)
+    seen = []
+
+    def command(cfg, convention):
+        seen.append(_openblas_threads(libs))
+        if raised is not None:
+            raise raised
+        return cli.ResultTable(columns=["x"])
+
+    monkeypatch.setattr(cli, "cmd_rate", command)
+    try:
+        # two threads before the call, so a count left at 1 shows
+        for _, put in libs.values():
+            put(2)
+        before = _openblas_threads(libs)
+        assert main(["rate", "--out", str(tmp_path / "out.csv")]) == code
+        after = _openblas_threads(libs)
+    finally:
+        for path, (_, put) in libs.items():
+            put(original[path])
+    assert seen == [{path: 1 for path in libs}]
+    assert after == before
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Property tests for the real-arithmetic distance and log-sum-exp kernel
 behind the exact mixtures: ``mixture_logpdf`` and ``estimate_leakage_mi``
 agree with direct broadcast distances and scipy's log-sum-exp, far from
-every center and across more than one chunk, and one leakage estimate stays
-inside a fixed memory budget.  Also pins ``complex_normal`` to its draw."""
+every center and across more than one chunk; the per-bin sums that underflow
+take the max-shift fallback; and one leakage estimate stays inside a fixed
+memory budget.  Also pins ``complex_normal`` to its draw."""
 
 import math
 import tracemalloc
@@ -16,6 +17,9 @@ from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal
 from avwiretap.codebook import (
     _SAMPLE_BATCH,
     BinningParams,
+    _binned_lse,
+    _image,
+    _nearest,
     binning_params,
     sample_codebook,
 )
@@ -49,6 +53,26 @@ def test_mixture_logpdf_matches_broadcast_reference(seed, rows, count, dim, far)
     got = mixture_logpdf(z, centers)
     assert got.shape == (rows,) and np.all(np.isfinite(got))
     assert np.max(np.abs(got - _reference_logpdf(z, centers))) <= 1e-9
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4))
+def test_binned_lse_falls_back_where_bin_sums_underflow(seed, n_bins, per_bin, dim):
+    rng = np.random.default_rng(seed)
+    # bins a few units apart: a row near one bin keeps every bin's exp-sum
+    # representable, a row 1e3 out underflows every one to zero
+    offsets = 4.0 * np.arange(n_bins).repeat(per_bin)
+    centers = complex_normal(rng, (n_bins * per_bin, dim)) + offsets[:, None]
+    near = centers[rng.integers(centers.shape[0], size=9)] + complex_normal(rng, (9, dim), var=0.5)
+    far = complex_normal(rng, (7, dim))
+    far *= (1e3 + 4.0 * n_bins) / np.linalg.norm(far, axis=1, keepdims=True)
+    z = np.concatenate([near, far])[rng.permutation(16)]
+    sq = np.sum(np.abs(z[:, None, :] - centers[None]) ** 2, axis=2)
+    ref = logsumexp(-sq.reshape(16, n_bins, per_bin), axis=2)
+    got = _binned_lse(z, _image(centers), n_bins)
+    assert got.shape == (16, n_bins) and np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-9
+    assert np.array_equal(_nearest(z, centers), np.argmin(sq, axis=1))
 
 
 def _reference_leakage_mi(cb, trace, samples, rng):

@@ -20,7 +20,7 @@ def sweep(budget: str, seeds) -> tuple[list, dict]:
     """Check ids in battery order, and the seeds on which each went red."""
     order, red = [], defaultdict(list)
     for seed in seeds:
-        table = cmd_verify({"budget": budget}, seed, threads=1)
+        table = cmd_verify({"budget": budget}, seed)
         for check_id, *_, passed in table.rows:
             if check_id not in order:
                 order.append(check_id)

@@ -88,35 +88,6 @@ class MainChannel:
         return min(self.h.shape)
 
 
-@dataclass(frozen=True)
-class ChannelSvd:
-    """SVD factors of a main channel: h = left @ embed(d) @ right."""
-
-    d: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        n_rx = self.left.shape[0]
-        n_tx = self.right.shape[0]
-        m = self.d.shape[0]
-        embed = np.zeros((n_rx, n_tx), dtype=np.complex128)
-        embed[:m, :m] = self.d
-        return self.left @ embed @ self.right
-
-
-def reduce_main_channel(h) -> ChannelSvd:
-    """Diagonalize the main channel by cancelling its SVD unitaries.
-
-    Returns the diagonal matrix of singular values (descending) together
-    with the left and right unitary factors.  Raises ``RankError`` when the
-    matrix is numerically rank deficient.
-    """
-    ch = h if isinstance(h, MainChannel) else MainChannel(h)
-    left, s, right = np.linalg.svd(ch.h, full_matrices=True)
-    return ChannelSvd(d=np.diag(s).astype(np.complex128), left=left, right=right)
-
-
 def _gram_deviation(h: np.ndarray) -> np.ndarray:
     """Max-entry deviation of h h^H from the identity, per matrix of a stack."""
     gram = h @ h.conj().swapaxes(-1, -2)
@@ -316,18 +287,6 @@ def effective_noise_cov(ch: MainChannel) -> np.ndarray:
     signal plus the forwarded artificial noise plus its own thermal noise.
     """
     return ch.h @ ch.h.conj().T + np.eye(ch.n_rx)
-
-
-def eve_equiv_noise_cov(st) -> np.ndarray:
-    """Covariance of the eavesdropper's equivalent noise, ht ht^H.
-
-    For canonical states this equals the identity: the artificial noise
-    reaches the eavesdropper whitened.  Non-canonical input raises
-    ``InvariantError``.
-    """
-    if not isinstance(st, EveState):
-        st = EveState(st)
-    return st.ht @ st.ht.conj().T
 
 
 def random_full_rank_channel(

@@ -29,7 +29,12 @@ from .leakage import (
     eve_second_moment_check,
     truncated_vs_gaussian_distance,
 )
-from .quantization import check_loglik_perturbation_batch, grid_log_size, quantize_eve
+from .quantization import (
+    check_loglik_perturbation_batch,
+    grid_log_size,
+    quantize_eve,
+    row_error_cap,
+)
 
 # Family-wise false-alarm rate of the density-law row across its blocklengths.
 DENSITY_LAW_ALPHA = 1e-3
@@ -114,7 +119,7 @@ def quantization_error_check(
     n_eve: int, n_tx: int, n_states: int, m: int, rng
 ) -> CheckResult:
     """Worst per-row squared snapping error against its strict cap."""
-    cap = 2.0 * n_tx / m**2
+    cap = row_error_cap(m, n_tx)
     states = EveTrace.random(n_eve, n_tx, n_states, rng).stacked
     worst = float(np.sum(np.abs(states - quantize_eve(states, m)) ** 2, axis=-1).max())
     return CheckResult(

@@ -10,8 +10,8 @@ verify    stock battery of bound/invariance checks
 schedule  correlation-elimination schedule values and feasibility flags
 
 Every output embeds the configuration hash, the seed, and the toolkit
-version.  Monte Carlo work is split into per-task generators spawned from
-the master seed, so results are byte-identical for any ``--threads``.
+version.  Monte Carlo work draws from generators spawned from the master
+seed, one per blocklength or check, so a seed fixes the output bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -119,8 +118,7 @@ def _openblas_thread_controls() -> tuple:
 def _one_blas_thread():
     """Run the block with every loaded OpenBLAS on one thread and give each
     its previous count back on the way out.  The GEMMs here are too thin for
-    a second BLAS thread to pay, and an idle one spin-waits on a core that
-    ``--threads`` could use."""
+    a second BLAS thread to pay."""
     controls = _openblas_thread_controls()
     before = [get() for get, _ in controls]
     for _, put in controls:
@@ -229,14 +227,6 @@ def _spawn_rngs(seed: int, count: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _run_tasks(tasks, threads: int):
-    """Ordered execution of no-argument callables, optionally threaded."""
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -292,7 +282,7 @@ def cmd_region(cfg: dict, convention: str) -> ResultTable:
     return table
 
 
-def cmd_simulate(cfg: dict, seed: int, threads: int) -> ResultTable:
+def cmd_simulate(cfg: dict, seed: int) -> ResultTable:
     with _config_read():
         pbar = float(cfg.get("pbar", 6.0))
         eps_p = float(cfg.get("eps_p", 0.5))
@@ -319,41 +309,6 @@ def cmd_simulate(cfg: dict, seed: int, threads: int) -> ResultTable:
     i_main = main_mutual_info(ch, pc)
     i_eve = n_eve * math.log2(pc.p_prime)
 
-    def make_task(n, rng):
-        # single-draw codebooks fluctuate at toy blocklengths, so every
-        # statistic is an ensemble average with its spread taken across
-        # freshly drawn books
-        def run():
-            bp = binning_params(i_main, i_eve, n, delta_n, delta_prime, mode)
-            trace = EveTrace.random(n_eve, n_tx, n, rng)
-            trials = max(1, error_trials // books)
-
-            def stats(cb):
-                lam, _ = estimate_decode_error(cb, ch, trials, rng)
-                eta, _ = estimate_decode_error(cb, trace, trials, rng)
-                est = estimate_variational_distance(
-                    cb, trace, range(min(cb.n_bins, w_count)),
-                    max(2, distance_samples // books), rng,
-                )
-                mi, _ = estimate_leakage_mi(
-                    cb, trace, max(2, mi_samples // books), rng
-                )
-                return lam, eta, est.d_hat, mi, est.saturated
-
-            mean, stderr = codebook_ensemble(bp, pc, books, rng, stats)
-            mi_bound = leakage_from_distance(
-                total_distance_bound(float(mean[2]), n, pc), bp.n_bins
-            )
-            return (
-                n, bp.n_bins, bp.per_bin, float(mean[0]), float(stderr[0]),
-                float(mean[1]), float(stderr[1]), float(mean[2]), float(stderr[2]),
-                float(mean[3]), float(stderr[3]), mi_bound, bool(mean[4] > 0),
-            )
-
-        return run
-
-    rngs = _spawn_rngs(seed, len(n_values))
-    tasks = [make_task(n, rng) for n, rng in zip(n_values, rngs)]
     table = ResultTable(
         columns=[
             "n", "n_bins", "per_bin", "main_err", "main_err_se", "eve_err",
@@ -361,12 +316,37 @@ def cmd_simulate(cfg: dict, seed: int, threads: int) -> ResultTable:
             "saturated",
         ]
     )
-    for row in _run_tasks(tasks, threads):
-        table.add(*row)
+    trials = max(1, error_trials // books)
+    for n, rng in zip(n_values, _spawn_rngs(seed, len(n_values))):
+        # single-draw codebooks fluctuate at toy blocklengths, so every
+        # statistic is an ensemble average with its spread taken across
+        # freshly drawn books
+        bp = binning_params(i_main, i_eve, n, delta_n, delta_prime, mode)
+        trace = EveTrace.random(n_eve, n_tx, n, rng)
+
+        def stats(cb):
+            lam, _ = estimate_decode_error(cb, ch, trials, rng)
+            eta, _ = estimate_decode_error(cb, trace, trials, rng)
+            est = estimate_variational_distance(
+                cb, trace, range(min(cb.n_bins, w_count)),
+                max(2, distance_samples // books), rng,
+            )
+            mi, _ = estimate_leakage_mi(cb, trace, max(2, mi_samples // books), rng)
+            return lam, eta, est.d_hat, mi, est.saturated
+
+        mean, stderr = codebook_ensemble(bp, pc, books, rng, stats)
+        mi_bound = leakage_from_distance(
+            total_distance_bound(float(mean[2]), n, pc), bp.n_bins
+        )
+        table.add(
+            n, bp.n_bins, bp.per_bin, float(mean[0]), float(stderr[0]),
+            float(mean[1]), float(stderr[1]), float(mean[2]), float(stderr[2]),
+            float(mean[3]), float(stderr[3]), mi_bound, bool(mean[4] > 0),
+        )
     return table
 
 
-def cmd_verify(cfg: dict, seed: int, threads: int) -> ResultTable:
+def cmd_verify(cfg: dict, seed: int) -> ResultTable:
     budget = cfg.get("budget", "standard")
     if budget not in ("light", "standard"):
         raise ConfigError("budget must be 'light' or 'standard'")
@@ -469,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="master seed (required for Monte Carlo commands)")
         sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--convention", choices=["full", "half"], default=None)
         sp.set_defaults(needs_seed=needs_seed)
     return parser
@@ -486,7 +467,6 @@ def main(argv=None) -> int:
                 f"command {args.command!r} runs Monte Carlo and needs --seed "
                 f"(or {ENV_PREFIX}SEED)"
             )
-        threads = args.threads if args.threads is not None else int(_env("THREADS", 1))
         convention = args.convention or _env("CONVENTION", "full")
         if convention not in ("full", "half"):
             raise ConfigError("convention must be 'full' or 'half'")
@@ -498,9 +478,9 @@ def main(argv=None) -> int:
             elif args.command == "region":
                 table = cmd_region(cfg, convention)
             elif args.command == "simulate":
-                table = cmd_simulate(cfg, seed, threads)
+                table = cmd_simulate(cfg, seed)
             elif args.command == "verify":
-                table = cmd_verify(cfg, seed, threads)
+                table = cmd_verify(cfg, seed)
             else:
                 table = cmd_schedule(cfg)
     except ConfigError as exc:

@@ -1,6 +1,6 @@
 """Toy-scale binned wiretap codebooks: truncated-Gaussian sampling, the
-two-index labeling, the whitened main-channel decoder, the eavesdropper's
-within-bin decoder, and the two-stage (codebook-announcing) encoder.
+two-index labeling, the whitened main-channel decoder and the eavesdropper's
+within-bin decoder.
 
 Codeword counts are deliberately tiny: the leakage estimators in
 ``leakage`` evaluate exact Gaussian-mixture densities, which is O(count)
@@ -221,14 +221,6 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
     )
 
 
-def encode(w: int, cb: Codebook, rng) -> tuple[np.ndarray, int]:
-    """Map message w to a uniformly chosen codeword of bin w."""
-    if not 0 <= w < cb.n_bins:
-        raise ValueError(f"message {w} out of range [0, {cb.n_bins})")
-    j = int(rng.integers(cb.per_bin))
-    return cb.codeword(w, j), j
-
-
 # Rows (decoder trials or mixture samples) per distance buffer, so no batch
 # builds a (rows, centers) matrix taller than this.
 _SAMPLE_BATCH = 512
@@ -379,34 +371,3 @@ def codebook_ensemble(bp: BinningParams, pc: PowerConfig, books: int, rng, stat)
     (a number or a tuple of numbers) across ``books`` fresh codebooks."""
     vals = np.array([stat(sample_codebook(bp, pc, rng)) for _ in range(books)], dtype=float)
     return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(books)
-
-
-@dataclass(frozen=True)
-class TwoStageEncoding:
-    """Outcome of encoding with a public codebook index.
-
-    The index announcement is carried by a conventional rate-r0 code over
-    the static main channel, assumed reliable, and costs
-    log2(count) / r0 extra channel uses.
-    """
-
-    book_index: int
-    within_bin: int
-    codeword: np.ndarray
-    stage2_uses: float
-
-
-def two_stage_encode(w: int, books, r0: float, rng) -> TwoStageEncoding:
-    """Pick one of the prepared codebooks uniformly, then encode w in it."""
-    if len(books) < 1:
-        raise ValueError("need at least one codebook")
-    if r0 <= 0:
-        raise ValueError("stage-two rate must be positive")
-    k = int(rng.integers(len(books)))
-    codeword, j = encode(w, books[k], rng)
-    return TwoStageEncoding(
-        book_index=k,
-        within_bin=j,
-        codeword=codeword,
-        stage2_uses=math.log2(len(books)) / r0,
-    )

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, gammainc, gammaln, xlogy
 
-from .channel import (
-    DimensionError,
-    EveTrace,
-    PowerConfig,
-    as_complex_matrix,
-    complex_normal,
-    eve_observe,
-)
+from .channel import EveTrace, PowerConfig, complex_normal, eve_observe
 from .codebook import (
     _SAMPLE_BATCH,
     BinningParams,
@@ -47,7 +40,10 @@ LOG_RATIO_CLIP = 700.0
 
 def _density_bits(x, z, trace: EveTrace, p_prime: float):
     """Per-use information density of coded inputs x (..., n_tx, n) and
-    eavesdropper outputs z (..., n_eve, n), batched over leading axes."""
+    eavesdropper outputs z (..., n_eve, n), batched over leading axes: with
+    isotropic Gaussian inputs and unit noise the output law is isotropic at
+    per-component variance p', so the density is two quadratic terms, in
+    the output and in the residual."""
     n = x.shape[-1]
     out_norm = np.sum(np.abs(z) ** 2, axis=(-2, -1))
     residual = np.sum(np.abs(z - eve_observe(x, trace)) ** 2, axis=(-2, -1))
@@ -70,21 +66,6 @@ def _density_chunks(trace: EveTrace, pc: PowerConfig, blocks: int, rng):
         xt = complex_normal(rng, (b, pc.n_tx, trace.n), var=pc.per_antenna_var)
         x = xt + complex_normal(rng, (b, pc.n_tx, trace.n))
         yield _density_bits(xt, eve_observe(x, trace), trace, pc.p_prime)
-
-
-def info_density(x, z, trace: EveTrace, pc: PowerConfig) -> float:
-    """Per-use information density of (x, z) through the given trace.
-
-    Closed form for the unit-noise eavesdropper channel with isotropic
-    Gaussian inputs: the output marginal is isotropic with per-component
-    variance p' = per-antenna variance + 1, so the density reduces to two
-    quadratic terms, in the output and in the residual.  Its mean over the
-    ensemble is n_eve * log2(p').
-    """
-    z = as_complex_matrix(z)
-    if z.shape != (trace.n_eve, trace.n):
-        raise DimensionError("observation and trace shapes disagree")
-    return float(_density_bits(as_complex_matrix(x), z, trace, pc.p_prime))
 
 
 # Gauss-Legendre nodes of the exact density-law expectation.
@@ -186,27 +167,23 @@ def info_density_tail(
     n_eve: int,
     trials: int,
     rng,
-    make_trace=None,
 ) -> TailScan:
-    """Estimate Pr[(1/n) density > n_eve log2(p') + delta] per blocklength.
+    """Estimate Pr[(1/n) density > n_eve log2(p') + delta] per blocklength,
+    each n through a fresh random canonical trace.
 
-    ``make_trace(n, rng)`` supplies the state sequence for each n (random
-    canonical by default).  Zero-hit tails report a one-sided 95% upper
-    bound; the slope is a log-linear fit over the strictly positive
-    estimates (nan when fewer than two).
+    Zero-hit tails report a one-sided 95% upper bound; the slope is a
+    log-linear fit over the strictly positive estimates (nan when fewer
+    than two).
     """
     if delta <= 0:
         raise ValueError("tail offset must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if make_trace is None:
-        def make_trace(n, r):
-            return EveTrace.random(n_eve, pc.n_tx, n, r)
 
     threshold = n_eve * math.log2(pc.p_prime) + delta
     estimates, uppers, means, sems = [], [], [], []
     for n in n_values:
-        trace = make_trace(int(n), rng)
+        trace = EveTrace.random(n_eve, pc.n_tx, int(n), rng)
         hits = 0
         total = 0.0
         total_sq = 0.0
@@ -257,13 +234,11 @@ def isotropic_logpdf(z_flat: np.ndarray, var: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeakageEstimate:
-    """Normalized variational distance, optional direct leakage, and the
-    distance-to-leakage conversion bound in bits."""
+    """Normalized variational distance and the distance-to-leakage
+    conversion bound in bits."""
 
     d_hat: float
     stderr: float
-    mi_hat: float | None
-    mi_stderr: float | None
     mi_bound: float
     saturated: bool
 
@@ -339,8 +314,6 @@ def estimate_variational_distance(
     return LeakageEstimate(
         d_hat=d_hat,
         stderr=stderr,
-        mi_hat=None,
-        mi_stderr=None,
         mi_bound=leakage_from_distance(
             total_distance_bound(d_hat, cb.n, cb.pc), cb.n_bins
         ),

@@ -20,33 +20,16 @@ from scipy.special import gammainc
 from .channel import (
     DimensionError,
     EveState,
-    MainChannel,
-    PowerConfig,
     as_complex_matrix,
     eve_observe,
     state_stack,
 )
 
 
-@dataclass(frozen=True)
-class QuantGrid:
-    """Finite net of eavesdropper matrices with entries on a 1/m lattice."""
-
-    m: int
-    n_tx: int
-    n_eve: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n_tx < 1 or self.n_eve < 1:
-            raise ValueError("grid density and antenna counts must be >= 1")
-
-    def log_size(self, n: int = 1) -> float:
-        return grid_log_size(self.m, self.n_tx, self.n_eve, n)
-
-    @property
-    def row_error_cap(self) -> float:
-        """Strict upper bound on the per-row squared snapping error."""
-        return 2.0 * self.n_tx / self.m**2
+def row_error_cap(m: int, n_tx: int) -> float:
+    """Strict upper bound 2 n_tx / m^2 on the squared error that snapping to
+    the 1/m lattice leaves in one row of a canonical state."""
+    return 2.0 * n_tx / m**2
 
 
 def quantize_eve(st, m: int) -> np.ndarray:
@@ -144,7 +127,7 @@ def check_loglik_perturbation_batch(
 
     radii = perturbation_radii(p, n_tx, n_eve, m, eps)
     row_err = np.sum(np.abs(stack_a - stack_b) ** 2, axis=-1)
-    applicable = np.all(row_err < 2.0 * n_tx / m**2, axis=(-2, -1))
+    applicable = np.all(row_err < row_error_cap(m, n_tx), axis=(-2, -1))
     applicable &= np.sum(np.abs(x) ** 2, axis=(-2, -1)) / n <= p + 1e-12
     residual = np.sum(np.abs(z - eve_observe(x, stack_a)) ** 2, axis=(-2, -1))
     applicable &= residual / n < radii.r**2
@@ -231,45 +214,6 @@ def truncation_mass(n: int, n_tx: int, p: float, eps_p: float) -> float:
     return float(gammainc(shape, shape / (1.0 - eps_p)))
 
 
-def gallager_exponent(ch: MainChannel, pc: PowerConfig, rate_bits: float) -> float:
-    """Random-coding error exponent of the main channel, in bits.
-
-    Gaussian-input exponent for the parallel-mode channel left after the
-    SVD reduction; the per-mode snr folds in the artificial-noise floor.
-    Maximized over the tilt in [0, 1] by a coarse grid plus local
-    refinement.  Vanishes at the channel rate and is nonincreasing in the
-    target rate.
-    """
-    if rate_bits < 0:
-        raise ValueError("rate must be nonnegative")
-    if pc.n_tx != ch.n_modes:
-        raise DimensionError(
-            f"power config is for {pc.n_tx} active antennas but the channel "
-            f"has {ch.n_modes} modes"
-        )
-    snrs = np.array(
-        [s * s * pc.per_antenna_var / (s * s + 1.0) for s in ch.singular_values]
-    )
-
-    def objective(rho: float) -> float:
-        return rho * float(np.sum(np.log2(1.0 + snrs / (1.0 + rho)))) - rho * rate_bits
-
-    grid = np.linspace(0.0, 1.0, 513)
-    values = [objective(r) for r in grid]
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    # the objective is concave in the tilt, so ternary search converges
-    while hi - lo > 1e-9:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective(m1) < objective(m2):
-            lo = m1
-        else:
-            hi = m2
-    return max(objective(0.5 * (lo + hi)), 0.0)
-
-
 @dataclass(frozen=True)
 class ScheduleParams:
     """Correlation-elimination schedule values and feasibility flags.
@@ -297,12 +241,30 @@ class ScheduleParams:
 
 
 def _min_n_satisfying(predicate, start: int) -> int:
+    """Smallest n >= 1 from which a monotone ``predicate`` holds, searched
+    outward from ``start`` in doubling steps and then bisected: past n ~ 1e16
+    a step of one no longer changes the float comparisons inside it."""
     n = max(start, 1)
-    while not predicate(n):
-        n += 1
-    while n > 1 and predicate(n - 1):
-        n -= 1
-    return n
+    step = 1
+    if predicate(n):
+        hi = n
+        while n - step > 0 and predicate(n - step):
+            hi = n - step
+            step *= 2
+        lo = max(n - step, 0)  # fails, or 0, below every candidate
+    else:
+        lo = n
+        while not predicate(n + step):
+            lo = n + step
+            step *= 2
+        hi = n + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def schedule_params(

@@ -11,50 +11,18 @@ from avwiretap.channel import (
     RankError,
     canonicalize_eve,
     complex_normal,
-    eve_equiv_noise_cov,
     eve_observe,
     effective_noise_cov,
     main_observe,
     random_eve_state,
-    reduce_main_channel,
     transmit,
 )
-
-
-def test_reduce_identity():
-    svd = reduce_main_channel(np.eye(2))
-    assert np.allclose(svd.d, np.eye(2))
-    assert np.allclose(svd.left, np.eye(2))
-    assert np.allclose(svd.right, np.eye(2))
-
-
-def test_reduce_diagonal_already_descending():
-    svd = reduce_main_channel(np.diag([3.0, 2.0]))
-    assert np.allclose(np.diag(svd.d), [3.0, 2.0])
-    assert np.allclose(svd.reconstruct(), np.diag([3.0, 2.0]))
-
-
-def test_reduce_random_rectangular_reconstructs(rng):
-    h = complex_normal(rng, (3, 2))
-    svd = reduce_main_channel(h)
-    assert np.max(np.abs(svd.reconstruct() - h)) <= 1e-10
-    assert svd.d.shape == (2, 2)
-    d = np.diag(svd.d).real
-    assert d[0] >= d[1] > 0
 
 
 def test_reduce_rank_deficient_raises():
     h = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
     with pytest.raises(RankError):
-        reduce_main_channel(h)
-
-
-@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (4, 4)])
-def test_reconstruction_residual_over_random_draws(shape, rng):
-    for _ in range(100):
-        h = complex_normal(rng, shape)
-        svd = reduce_main_channel(h)
-        assert np.max(np.abs(svd.reconstruct() - h)) <= 1e-9
+        MainChannel(h)
 
 
 def test_canonicalize_identity_block_unchanged():
@@ -186,21 +154,6 @@ def test_effective_noise_cov_matches_simulation(rng):
     total = ch.h @ n + z
     emp = total @ total.conj().T / total.shape[1]
     assert np.max(np.abs(emp - effective_noise_cov(ch))) < 0.1
-
-
-def test_eve_equiv_noise_cov_identity_block():
-    st = EveState(np.hstack([np.eye(2), np.zeros((2, 2))]))
-    assert np.allclose(eve_equiv_noise_cov(st), np.eye(2), atol=1e-12)
-
-
-def test_eve_equiv_noise_cov_random_canonical(rng):
-    st = random_eve_state(2, 4, rng)
-    assert np.max(np.abs(eve_equiv_noise_cov(st) - np.eye(2))) <= 1e-10
-
-
-def test_eve_equiv_noise_cov_rejects_raw_matrix():
-    with pytest.raises(InvariantError):
-        eve_equiv_noise_cov(np.array([[1.5, 0.0]]))
 
 
 def test_artificial_noise_is_white_at_eavesdropper(rng):

@@ -379,6 +379,21 @@ def test_schedule_infeasible_is_informational(tmp_path):
     assert rows[0][columns.index("min_feasible_n")] == ""
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"eps_prime": 1e-300, "c_prime": 1.0},
+     {"eps_prime": 0.1, "c_prime": 0.10000000000000002}],
+)
+def test_schedule_extreme_exponents_terminate(tmp_path, payload):
+    # the minimum blocklength lands near 4e299 and 4e17, where a step of one
+    # in n no longer changes the float feasibility tests
+    cfg = _write_cfg(tmp_path, "sched.json", payload)
+    code, out = _run(tmp_path, "schedule", "--config", cfg)
+    assert code == 0
+    _, columns, rows = read_table(out)
+    assert int(rows[0][columns.index("min_feasible_n")]) > 10**17
+
+
 def test_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("AVWT_SEED", "77")
     monkeypatch.setenv("AVWT_CONVENTION", "half")
@@ -392,3 +407,17 @@ def test_env_overrides(tmp_path, monkeypatch):
     meta, _, _ = read_table(out)
     assert meta["seed"] == "77"
     assert meta["convention"] == "half"
+
+
+
+def test_package_exports_resolve():
+    import avwiretap
+
+    exported = avwiretap.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(avwiretap, name)] == []
+    cut = {"ChannelSvd", "reduce_main_channel", "eve_equiv_noise_cov", "encode",
+           "TwoStageEncoding", "two_stage_encode", "info_density", "QuantGrid",
+           "gallager_exponent"}
+    assert not cut & set(exported)
+    assert not any(hasattr(avwiretap, name) for name in cut)

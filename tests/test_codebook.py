@@ -3,7 +3,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from avwiretap.channel import EveTrace, MainChannel, PowerConfig
 from avwiretap.codebook import (
@@ -11,12 +10,10 @@ from avwiretap.codebook import (
     Codebook,
     ToyScaleError,
     binning_params,
-    encode,
     estimate_decode_error,
     eve_bin_decode,
     ml_decode_main,
     sample_codebook,
-    two_stage_encode,
 )
 from avwiretap.quantization import truncation_mass
 from avwiretap.rates import main_mutual_info
@@ -114,36 +111,16 @@ def test_codebook_rejects_over_cap_codewords():
         Codebook(codewords=hot, n_bins=1, per_bin=1, mode="strong", pc=pc)
 
 
-def test_encode_single_codeword_deterministic(rng):
-    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=2, rate_bits=1.0, n_bins=2, per_bin=1, delta_n=0.1,
-                       delta_prime=0.1, mode="strong")
-    cb = sample_codebook(bp, pc, rng)
-    cw, j = encode(1, cb, rng)
-    assert j == 0
-    assert np.array_equal(cw, cb.codeword(1, 0))
-
-
 def test_encode_out_of_range(rng):
     _, _, _, cb = _toy_setup(rng)
     with pytest.raises(ValueError):
-        encode(cb.n_bins, cb, rng)
-
-
-def test_encode_uniform_within_bin(rng):
-    _, _, _, cb = _toy_setup(rng)
-    draws = 100_000
-    counts = np.zeros(cb.per_bin)
-    for _ in range(draws):
-        _, j = encode(0, cb, rng)
-        counts[j] += 1
-    assert chisquare(counts).pvalue > 0.01
+        cb.codeword(cb.n_bins, 0)
 
 
 def test_encode_matches_table_lookup(rng):
     _, _, _, cb = _toy_setup(rng)
-    cw, j = encode(1, cb, rng)
-    assert np.array_equal(cw, cb.codewords[1 * cb.per_bin + j])
+    for j in range(cb.per_bin):
+        assert np.array_equal(cb.codeword(1, j), cb.codewords[1 * cb.per_bin + j])
 
 
 def test_ml_decode_zero_noise_round_trip(rng, zero_noise):
@@ -244,58 +221,9 @@ def test_estimate_decode_error_brackets_high_precision_rerun(rng):
     assert hits >= 18
 
 
-def test_two_stage_single_book_reduces_to_encode(rng):
-    _, _, _, cb = _toy_setup(rng)
-    out = two_stage_encode(0, [cb], r0=1.0, rng=rng)
-    assert out.book_index == 0
-    assert out.stage2_uses == 0.0
-    assert np.array_equal(out.codeword, cb.codeword(0, out.within_bin))
-
-
-def test_two_stage_uniform_book_choice(rng):
-    _, pc, bp, _ = _toy_setup(rng, n=2)
-    books = [sample_codebook(bp, pc, rng) for _ in range(8)]
-    counts = np.zeros(8)
-    for _ in range(100_000):
-        counts[two_stage_encode(0, books, 1.0, rng).book_index] += 1
-    assert chisquare(counts).pvalue > 0.01
-
-
-def test_two_stage_declared_overhead(rng):
-    _, pc, bp, _ = _toy_setup(rng, n=2)
-    books = [sample_codebook(bp, pc, rng) for _ in range(8)]
-    out = two_stage_encode(0, books, r0=1.5, rng=rng)
-    assert out.stage2_uses == pytest.approx(3.0 / 1.5)
-
-
 def test_sample_codebook_seeded_determinism():
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
     bp = BinningParams(n=4, rate_bits=1.0, n_bins=2, per_bin=8, delta_n=0.5,
                        delta_prime=0.25, mode="strong")
     books = [sample_codebook(bp, pc, np.random.default_rng(123)) for _ in range(2)]
     assert np.array_equal(books[0].codewords, books[1].codewords)
-
-
-def test_two_stage_mixture_distance_matches_per_book_average(rng):
-    # the announced-index scheme leaks exactly the per-book average distance
-    from avwiretap.leakage import estimate_variational_distance
-
-    _, pc, bp, _ = _toy_setup(rng, n=2)
-    books = [sample_codebook(bp, pc, rng) for _ in range(4)]
-    per_book = [
-        estimate_variational_distance(cb, EveTrace.random(1, 2, 2, np.random.default_rng(5)),
-                                      [0], 3000, rng)
-        for cb in books
-    ]
-    averaged = float(np.mean([e.d_hat for e in per_book]))
-    # direct mixture estimate: book index drawn uniformly per sample
-    trace = EveTrace.random(1, 2, 2, np.random.default_rng(5))
-    vals = []
-    for _ in range(60):
-        k = two_stage_encode(0, books, 1.0, rng).book_index
-        est = estimate_variational_distance(books[k], trace, [0], 50, rng)
-        vals.append(est.d_hat)
-    mixture = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-    combined = math.hypot(se, float(np.mean([e.stderr for e in per_book])))
-    assert abs(mixture - averaged) <= 3 * combined

@@ -12,11 +12,11 @@ from avwiretap.codebook import (
     sample_codebook,
 )
 from avwiretap.leakage import (
+    _density_bits,
     estimate_leakage_mi,
     estimate_variational_distance,
     eve_error_symmetry_check,
     eve_second_moment_check,
-    info_density,
     info_density_tail,
     isotropic_logpdf,
     leakage_from_distance,
@@ -34,7 +34,7 @@ def _pc(pbar=6.0, eps_p=0.5, n_tx=2):
 def test_info_density_zero_signal_hits_center():
     pc = PowerConfig(pbar=10.0, eps_p=0.0, n_tx=2)  # p' = 5
     trace = EveTrace.constant(EveState(np.array([[1.0, 0.0]])), 3)
-    val = info_density(np.zeros((2, 3)), np.zeros((1, 3)), trace, pc)
+    val = _density_bits(np.zeros((2, 3)), np.zeros((1, 3)), trace, pc.p_prime)
     assert val == pytest.approx(math.log2(5))
 
 
@@ -44,7 +44,7 @@ def test_info_density_hand_point():
     x = np.array([[1.0], [0.0]])
     z = np.array([[2.0]])
     expected = math.log2(5) + (4 / 5 - 1) * math.log2(math.e)
-    assert info_density(x, z, trace, pc) == pytest.approx(expected)
+    assert _density_bits(x, z, trace, pc.p_prime) == pytest.approx(expected)
 
 
 def test_info_density_mean_matches_channel_rate(rng):

@@ -2,23 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from avwiretap.channel import (
-    EveTrace,
-    MainChannel,
-    PowerConfig,
-    complex_normal,
-    random_eve_state,
-)
+from avwiretap.channel import EveTrace, complex_normal, random_eve_state
 from avwiretap.quantization import (
-    QuantGrid,
+    _min_n_satisfying,
     check_loglik_perturbation,
     chernoff_exponent,
-    gallager_exponent,
     grid_log_size,
     loglik_drift_bound,
     perturbation_radii,
     quantize_eve,
+    row_error_cap,
     schedule_params,
     truncation_exponent,
     truncation_mass,
@@ -44,7 +40,7 @@ def test_quantize_lattice_points_fixed(rng):
 
 @pytest.mark.parametrize("m", [2, 10, 100])
 def test_quantize_row_error_strictly_below_cap(rng, m):
-    cap = QuantGrid(m=m, n_tx=2, n_eve=1).row_error_cap
+    cap = row_error_cap(m, n_tx=2)
     worst = 0.0
     for _ in range(2_000):
         st = random_eve_state(1, 2, rng)
@@ -201,37 +197,6 @@ def test_truncation_exponent_properties():
         assert reject <= math.exp(-n * truncation_exponent(0.3, n_tx=2)) + 1e-12
 
 
-def test_gallager_exponent_vanishes_at_channel_rate(rng):
-    ch = MainChannel(np.diag([2.0, 1.0]))
-    pc = PowerConfig(pbar=12.0, eps_p=0.1, n_tx=2)
-    mi_backed_off = sum(
-        math.log2(1 + s * s * pc.per_antenna_var / (s * s + 1))
-        for s in ch.singular_values
-    )
-    assert gallager_exponent(ch, pc, mi_backed_off) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_gallager_exponent_zero_rate_value():
-    ch = MainChannel(np.diag([2.0, 1.0]))
-    pc = PowerConfig(pbar=12.0, eps_p=0.1, n_tx=2)
-    snrs = [s * s * pc.per_antenna_var / (s * s + 1) for s in ch.singular_values]
-    expected = sum(math.log2(1 + snr / 2) for snr in snrs)
-    assert gallager_exponent(ch, pc, 0.0) == pytest.approx(expected, abs=1e-6)
-
-
-def test_gallager_exponent_monotone_in_rate():
-    ch = MainChannel(np.diag([2.0, 1.0]))
-    pc = PowerConfig(pbar=12.0, eps_p=0.1, n_tx=2)
-    top = sum(
-        math.log2(1 + s * s * pc.per_antenna_var / (s * s + 1))
-        for s in ch.singular_values
-    )
-    rates = np.linspace(0.0, top, 12)
-    vals = [gallager_exponent(ch, pc, r) for r in rates]
-    assert all(v >= 0 for v in vals)
-    assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
-
-
 def test_schedule_params_example_values():
     sp = schedule_params(0.01, 1000, c_prime=0.05, alpha_eps=0.05, alpha_eps_p=0.04,
                          error_exponent=0.5)
@@ -341,29 +306,6 @@ def test_chernoff_lower_bounds_empirical_tail(rng):
     assert emp <= bound * (1.0 + 3.0 / math.sqrt(max(emp, 1e-9) * trials))
 
 
-def test_gallager_exponent_matches_independent_optimizer():
-    from scipy.optimize import minimize_scalar
-
-    ch = MainChannel(np.diag([2.5, 0.9]))
-    pc = PowerConfig(pbar=20.0, eps_p=0.2, n_tx=2)
-    snrs = [s * s * pc.per_antenna_var / (s * s + 1) for s in ch.singular_values]
-    for rate in (0.2, 0.8, 1.4):
-        def negated(rho):
-            e0 = rho * sum(math.log2(1 + snr / (1 + rho)) for snr in snrs)
-            return -(e0 - rho * rate)
-
-        # the bounded minimizer stops short of boundary optima, so fold the
-        # endpoints into the reference
-        ref = max(
-            -minimize_scalar(negated, bounds=(0.0, 1.0), method="bounded",
-                             options={"xatol": 1e-12}).fun,
-            -negated(0.0),
-            -negated(1.0),
-            0.0,
-        )
-        assert gallager_exponent(ch, pc, rate) == pytest.approx(ref, abs=1e-8)
-
-
 def test_schedule_minimum_blocklength_is_tight(rng):
     for _ in range(20):
         eps_prime = float(rng.uniform(0.005, 0.2))
@@ -383,3 +325,52 @@ def test_schedule_minimum_blocklength_is_tight(rng):
         assert feasible(n_min)
         if n_min > 1:
             assert not feasible(n_min - 1)
+
+
+def _unit_step_walk(predicate, start, limit=100_000):
+    """Reference search: step n by one from ``start`` up to the first n where
+    ``predicate`` holds, then down while it still holds one below; None
+    where either walk has not settled within ``limit`` steps."""
+    n = max(start, 1)
+    for _ in range(limit):
+        if predicate(n):
+            break
+        n += 1
+    else:
+        return None
+    for _ in range(limit):
+        if n == 1 or not predicate(n - 1):
+            return n
+        n -= 1
+    return None
+
+
+# c' / eps' - 1 stays above 1e-4: closer to 1, 2 - c' n < -eps' n cancels
+# to a few ulps and flickers with n, so any two searches may stop at
+# different flickers (about 1e-7 apart, relative)
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-6, 1.0), st.floats(-4.0, 2.0))
+def test_schedule_minimum_matches_unit_step_walk(eps_prime, log_gap):
+    c_prime = eps_prime * (1.0 + 10.0**log_gap)
+    assume(c_prime > eps_prime)
+
+    def growth_at(n):
+        return 2.0 - c_prime * n < -eps_prime * n
+
+    def net_at(n):
+        u = 2.0 * eps_prime * n
+        return u > 360.0 or 2.0 * math.exp(u) + 1.0 <= math.exp(2.0 * u)
+
+    n_growth = _unit_step_walk(growth_at, int(2.0 / (c_prime - eps_prime)) + 1)
+    n_net = _unit_step_walk(
+        net_at, max(int(math.log(1.0 + math.sqrt(2.0)) / (2.0 * eps_prime)), 1)
+    )
+    assume(n_growth is not None and n_net is not None)
+    sp = schedule_params(eps_prime, 10, c_prime=c_prime, alpha_eps=1.0,
+                         alpha_eps_p=1.0, error_exponent=1.0)
+    assert sp.min_feasible_n == max(n_growth, n_net)
+
+
+@given(st.integers(-5, 10**30), st.integers(-5, 10**30))
+def test_min_n_search_finds_threshold_from_any_start(threshold, start):
+    assert _min_n_satisfying(lambda n: n >= threshold, start) == max(threshold, 1)

@@ -52,14 +52,30 @@ class CheckResult:
 def noise_whiteness_check(
     n_eve: int, n_tx: int, n_states: int, samples: int, rng, state_mats=None
 ) -> CheckResult:
-    """Empirical covariance of the forwarded artificial noise vs identity."""
+    """Worst entry of |S - I| over the states, where S is the sample
+    covariance of ``samples`` uses of unit artificial noise seen through a
+    state H.
+
+    S = H W H^H / samples with W ~ CW(I, samples), the complex Wishart
+    law of the raw noise's Gram matrix, so each state's W is drawn from its
+    Bartlett factor instead of from the noise itself: W = L L^H with L lower
+    triangular, |L_ii|^2 ~ Gamma(samples - i) and L_ij ~ CN(0, 1) below the
+    diagonal (Goodman 1963).  All states go in one batched product.
+    """
+    if samples < n_tx:
+        raise ValueError("need at least n_tx noise samples")
     if state_mats is None:
         state_mats = EveTrace.random(n_eve, n_tx, n_states, rng).stacked
-    worst = 0.0
-    for ht in state_mats:
-        seen = np.asarray(ht) @ complex_normal(rng, (n_tx, samples))
-        cov = seen @ seen.conj().T / samples
-        worst = max(worst, float(np.max(np.abs(cov - np.eye(len(ht))))))
+    h = np.asarray(state_mats, dtype=np.complex128)
+    count = h.shape[0]
+    low = np.zeros((count, n_tx, n_tx), dtype=np.complex128)
+    diag = np.arange(n_tx)
+    low[:, diag, diag] = np.sqrt(rng.gamma(samples - diag, size=(count, n_tx)))
+    rows, cols = np.tril_indices(n_tx, -1)
+    low[:, rows, cols] = complex_normal(rng, (count, rows.size))
+    seen = h @ low
+    cov = seen @ seen.conj().swapaxes(-1, -2) / samples
+    worst = float(np.max(np.abs(cov - np.eye(h.shape[1]))))
     return CheckResult(
         check_id="noise-whiteness",
         description="artificial noise reaches canonical eavesdroppers white",

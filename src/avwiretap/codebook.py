@@ -35,6 +35,8 @@ BLOCKLENGTH_CAP = 32
 # Memory guard for the sampler itself (the mixture cap is enforced by the
 # estimators, not here, so decoder-only experiments may go larger).
 SAMPLER_CODEWORD_CAP = 2**18
+# Complex entries per rejection draw of the sampler (16 MB).
+_CANDIDATE_ELEMENTS = 2**20
 
 MODES = ("strong", "weak")
 
@@ -199,15 +201,18 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
             f"pathological configuration: expected acceptance rate "
             f"{expected_acceptance:.2e} below 1e-6"
         )
-    batch = max(256, min(total, 4096))
-    kept: list[np.ndarray] = []
+    codewords = np.empty((total, pc.n_tx, bp.n), dtype=np.complex128)
     have = 0
     drawn = 0
     while have < total:
+        # enough candidates for the rows still missing at the expected
+        # rate, at most _CANDIDATE_ELEMENTS complex entries per draw
+        need = math.ceil(1.02 * (total - have) / expected_acceptance) + 16
+        batch = max(256, min(need, _CANDIDATE_ELEMENTS // (pc.n_tx * bp.n)))
         cand = complex_normal(rng, (batch, pc.n_tx, bp.n), var=pc.per_antenna_var)
-        ok = np.sum(np.abs(cand) ** 2, axis=(1, 2)) / bp.n <= pc.p
-        take = cand[ok]
-        kept.append(take)
+        energy = np.sum(cand.view(np.float64).reshape(batch, -1) ** 2, axis=1)
+        take = cand[energy / bp.n <= pc.p][: total - have]
+        codewords[have : have + take.shape[0]] = take
         have += take.shape[0]
         drawn += batch
         if drawn >= 4_000_000 and have < 1e-6 * drawn:
@@ -215,7 +220,6 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
                 f"pathological configuration: observed acceptance rate "
                 f"{have / drawn:.2e} below 1e-6"
             )
-    codewords = np.concatenate(kept)[:total]
     return Codebook(
         codewords=codewords, n_bins=bp.n_bins, per_bin=bp.per_bin, mode=bp.mode, pc=pc
     )

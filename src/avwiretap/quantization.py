@@ -305,10 +305,15 @@ def schedule_params(
 
     min_feasible: int | None = None
     if c_prime > eps_prime:
-        n_growth = _min_n_satisfying(growth_at, int(2.0 / (c_prime - eps_prime)) + 1)
-        n_net = _min_n_satisfying(
-            net_at, max(int(math.log(1.0 + math.sqrt(2.0)) / (2.0 * eps_prime)), 1)
-        )
+        growth_start = 2.0 / (c_prime - eps_prime)
+        net_start = math.log(1.0 + math.sqrt(2.0)) / (2.0 * eps_prime)
+        if not math.isfinite(growth_start + net_start):
+            raise ValueError(
+                "schedule exponents too small: the minimum feasible blocklength "
+                "exceeds the float range"
+            )
+        n_growth = _min_n_satisfying(growth_at, int(growth_start) + 1)
+        n_net = _min_n_satisfying(net_at, max(int(net_start), 1))
         min_feasible = max(n_growth, n_net)
 
     drift_ok: bool | None = None

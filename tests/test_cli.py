@@ -421,3 +421,19 @@ def test_package_exports_resolve():
            "gallager_exponent"}
     assert not cut & set(exported)
     assert not any(hasattr(avwiretap, name) for name in cut)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"eps_prime": 1e-308, "c_prime": 1.0000000000000002e-308},
+     {"eps_prime": 1e-320, "c_prime": 1.0}],
+)
+def test_schedule_beyond_float_range_is_a_config_error(tmp_path, capsys, payload):
+    # 2 / (c' - eps') or the net-size start overflows to inf: one stderr
+    # line and exit 1, not an internal error
+    cfg = _write_cfg(tmp_path, "sched.json", payload)
+    code, out = _run(tmp_path, "schedule", "--config", cfg)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.exists()

@@ -227,3 +227,37 @@ def test_sample_codebook_seeded_determinism():
                        delta_prime=0.25, mode="strong")
     books = [sample_codebook(bp, pc, np.random.default_rng(123)) for _ in range(2)]
     assert np.array_equal(books[0].codewords, books[1].codewords)
+
+
+def _accepted_stream(bp, pc, rng, candidates):
+    """Reference sampler: one draw of ``candidates`` power-capped Gaussian
+    candidates, keeping those under the cap in draw order."""
+    from avwiretap.channel import complex_normal
+
+    cand = complex_normal(rng, (candidates, pc.n_tx, bp.n), var=pc.per_antenna_var)
+    return cand[np.sum(np.abs(cand) ** 2, axis=(1, 2)) / bp.n <= pc.p]
+
+
+def test_sample_codebook_keeps_the_first_accepted_candidates():
+    # acceptance about 0.57, so the sampler needs more than one batch; the
+    # normal stream does not depend on how it is split into draws, so the
+    # book is the first accepted candidates of one long draw
+    pc = PowerConfig(pbar=4.0, eps_p=0.02, n_tx=2)
+    bp = BinningParams(n=4, rate_bits=1.0, n_bins=3, per_bin=700, delta_n=0.5,
+                       delta_prime=0.25, mode="strong")
+    for seed in range(5):
+        cb = sample_codebook(bp, pc, np.random.default_rng(seed))
+        ref = _accepted_stream(bp, pc, np.random.default_rng(seed), 10_000)
+        assert np.array_equal(cb.codewords, ref[: cb.size])
+
+
+def test_small_books_draw_one_batch_of_256():
+    # a book whose candidates fit in one batch of 256 leaves the generator
+    # where one 256-candidate draw leaves it
+    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
+    bp = BinningParams(n=4, rate_bits=1.0, n_bins=2, per_bin=8, delta_n=0.5,
+                       delta_prime=0.25, mode="strong")
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    cb = sample_codebook(bp, pc, rng)
+    assert np.array_equal(cb.codewords, _accepted_stream(bp, pc, ref, 256)[: cb.size])
+    assert rng.standard_normal() == ref.standard_normal()

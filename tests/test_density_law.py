@@ -134,3 +134,43 @@ def test_scaled_state_is_rejected_before_the_row():
     stack[0] *= 1.5
     with pytest.raises(InvariantError):
         EveTrace(stack)
+
+
+# The closed form below is a finite sum; these hold it to the Laplace law
+# and to an independent quadrature of the Gamma convolution.
+
+
+def test_cdf_is_the_laplace_law_at_unit_shape_far_out():
+    t = np.linspace(0.0, 30.0, 61)
+    tail = 0.5 * np.exp(-t)
+    # lower tail at -t and upper tail through the symmetry, both relative
+    assert np.max(np.abs(density_law_cdf(-t, 1) / tail - 1.0)) < 1e-12
+    assert np.max(np.abs(density_law_cdf(t, 1) / (1.0 - tail) - 1.0)) < 1e-12
+
+
+def _convolution_upper_tail(t, k):
+    """P(G1 - G2 > t) for t >= 0 as adaptive quadrature of
+    P(G1 > t + g) f(g) over a window holding all but e^-300 of G2's mass."""
+    from scipy.integrate import quad
+    from scipy.stats import gamma
+
+    half = 40.0 * math.sqrt(k)
+    return quad(
+        lambda g: gamma.sf(t + g, k) * gamma.pdf(g, k),
+        max(0.0, k - half), k + half,
+        points=[k], epsabs=0.0, epsrel=1e-13, limit=200,
+    )[0]
+
+
+@pytest.mark.parametrize("k", [4, 50, 100])
+def test_cdf_matches_quadrature_of_the_gamma_convolution(k):
+    for t in np.array([0.0, 0.3, 1.0, 3.0, 6.0, 10.0]) * math.sqrt(k):
+        ref = _convolution_upper_tail(t, k)
+        assert density_law_cdf(-t, k) == pytest.approx(ref, rel=1e-10, abs=0.0)
+        assert density_law_cdf(t, k) == pytest.approx(1.0 - ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [2.5, 0.5, -3, math.nan, math.inf])
+def test_cdf_rejects_a_non_integer_shape(k):
+    with pytest.raises(ValueError):
+        density_law_cdf(1.0, k)

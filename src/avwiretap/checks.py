@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogi
+from scipy.special import gammaincc, kolmogi, kolmogorov
 
 from .channel import (
     EveTrace,
@@ -19,9 +19,12 @@ from .channel import (
     canonicalize_eve,
     complex_normal,
     eve_observe,
+    transmit,
 )
 from .codebook import BinningParams, binning_params, codebook_ensemble, sample_codebook
 from .leakage import (
+    _erlang_cdf,
+    _ks_scaled,
     density_law_ks,
     density_law_tail,
     estimate_variational_distance,
@@ -35,8 +38,10 @@ from .quantization import (
     quantize_eve,
     row_error_cap,
 )
+from .rates import main_mutual_info
 
-# Family-wise false-alarm rate of the density-law row across its blocklengths.
+# Family-wise false-alarm rate of each exact-law row: the density row across
+# its blocklengths, the output-invariance row across its four tests.
 DENSITY_LAW_ALPHA = 1e-3
 
 
@@ -86,48 +91,36 @@ def noise_whiteness_check(
 
 
 def output_invariance_check(
-    pc: PowerConfig, n_eve: int, n: int, samples: int, rng, bins: int = 10
+    pc: PowerConfig, n_eve: int, n: int, samples: int, rng
 ) -> CheckResult:
-    """Moment and norm-histogram agreement of the eavesdropper output law
-    across two random canonical state sequences, at three sigma."""
-    columns = []
+    """One-sample tests of the eavesdropper output against its exact law:
+    with Gaussian input and unit artificial noise, every canonical state
+    sequence gives i.i.d. CN(0, p' I) uses.  Through each of two random
+    traces the whitened uses w = y / sqrt(p') are tested twice: |w|^2 against
+    Gamma(n_eve) by Kolmogorov-Smirnov, and their sample covariance S against
+    I by the known-mean likelihood ratio 2 m (tr S - ln det S - n_eve), about
+    chi-square(n_eve^2).  Observed is the least p-value times four
+    (Bonferroni), capped at 1."""
+    p_values = []
     for _ in range(2):
         trace = EveTrace.random(n_eve, pc.n_tx, n, rng)
         reps = math.ceil(samples / n)
         x = complex_normal(rng, (reps, pc.n_tx, n), var=pc.per_antenna_var)
-        x = x + complex_normal(rng, (reps, pc.n_tx, n))
-        y = eve_observe(x, trace)
-        columns.append(y.transpose(0, 2, 1).reshape(-1, n_eve)[:samples])
-    a, b = columns
-    worst_z = 0.0
-    for part in (np.real, np.imag):
-        mean_gap = np.abs(part(a).mean(axis=0) - part(b).mean(axis=0))
-        se = np.sqrt(part(a).var(axis=0) / len(a) + part(b).var(axis=0) / len(b))
-        worst_z = max(worst_z, float(np.max(mean_gap / se)))
-    cov_a = a.conj().T @ a / len(a)
-    cov_b = b.conj().T @ b / len(b)
-    diag_a = np.real(np.diag(cov_a))
-    diag_b = np.real(np.diag(cov_b))
-    se_cov = np.sqrt(
-        (np.outer(diag_a, diag_a) + np.abs(cov_a) ** 2) / len(a)
-        + (np.outer(diag_b, diag_b) + np.abs(cov_b) ** 2) / len(b)
-    )
-    worst_z = max(worst_z, float(np.max(np.abs(cov_a - cov_b) / se_cov)))
-    norms_a = np.sum(np.abs(a) ** 2, axis=1)
-    norms_b = np.sum(np.abs(b) ** 2, axis=1)
-    edges = np.quantile(np.concatenate([norms_a, norms_b]), np.linspace(0, 1, bins + 1))
-    edges[0], edges[-1] = -np.inf, np.inf
-    freq_a = np.histogram(norms_a, edges)[0] / len(norms_a)
-    freq_b = np.histogram(norms_b, edges)[0] / len(norms_b)
-    pooled = 0.5 * (freq_a + freq_b)
-    se_bins = np.sqrt(pooled * (1 - pooled) * (1 / len(norms_a) + 1 / len(norms_b)))
-    worst_z = max(worst_z, float(np.max(np.abs(freq_a - freq_b) / np.maximum(se_bins, 1e-12))))
+        y = eve_observe(transmit(x, rng), trace)
+        w = y.transpose(0, 2, 1).reshape(-1, n_eve)[:samples] / math.sqrt(pc.p_prime)
+        norms = np.sort(np.sum(np.abs(w) ** 2, axis=1))
+        p_values.append(kolmogorov(_ks_scaled(_erlang_cdf(norms, n_eve))))
+        cov = w.conj().T @ w / len(w)
+        # clipped at 0: tr S - ln det S - n_eve >= 0 can round below it
+        lr = max(2 * len(w) * (np.trace(cov).real - np.linalg.slogdet(cov)[1] - n_eve), 0.0)
+        p_values.append(gammaincc(n_eve**2 / 2, lr / 2))
+    observed = float(np.minimum(4 * np.min(p_values), 1.0))
     return CheckResult(
         check_id="output-invariance",
-        description="eavesdropper output law identical across canonical states",
-        observed=worst_z,
-        bound=3.0,
-        passed=worst_z <= 3.0,
+        description="eavesdropper output follows its exact law under canonical states",
+        observed=observed,
+        bound=DENSITY_LAW_ALPHA,
+        passed=observed > DENSITY_LAW_ALPHA,
     )
 
 
@@ -175,13 +168,16 @@ def perturbation_scan(
     )
 
 
-def second_moment_check(pc: PowerConfig, n: int, trials: int, rng) -> CheckResult:
-    from .rates import main_mutual_info
+def _saturating_binning(pc: PowerConfig, n: int) -> BinningParams:
+    """Strong-mode bins over the identity main channel, with within-bin
+    randomization just above the eavesdropper's rate log2 p'."""
+    i_main = main_mutual_info(MainChannel(np.eye(pc.n_tx)), pc)
+    return binning_params(i_main, math.log2(pc.p_prime), n=n, delta_n=0.5,
+                          delta_prime=0.25, mode="strong")
 
-    ch = MainChannel(np.eye(pc.n_tx))
-    bp = binning_params(main_mutual_info(ch, pc), math.log2(pc.p_prime),
-                        n=n, delta_n=0.5, delta_prime=0.25, mode="strong")
-    cb = sample_codebook(bp, pc, rng)
+
+def second_moment_check(pc: PowerConfig, n: int, trials: int, rng) -> CheckResult:
+    cb = sample_codebook(_saturating_binning(pc, n), pc, rng)
     trace = EveTrace.random(1, pc.n_tx, n, rng)
     res = eve_second_moment_check(cb, trace, trials, rng)
     return CheckResult(
@@ -288,16 +284,11 @@ def resolvability_check(
     Single codebook draws fluctuate at toy blocklengths, so each point is an
     ensemble mean over fresh books with its spread taken across them.
     """
-    from .rates import main_mutual_info
-
-    ch = MainChannel(np.eye(pc.n_tx))
-    i_main = main_mutual_info(ch, pc)
-    i_eve = math.log2(pc.p_prime)
     prev = None
     ok = True
     last = 0.0
     for n in n_values:
-        bp = binning_params(i_main, i_eve, n=int(n), delta_n=0.5, delta_prime=0.25)
+        bp = _saturating_binning(pc, int(n))
         trace = EveTrace.random(1, pc.n_tx, int(n), rng)
         mean, stderr = codebook_ensemble(
             bp, pc, books, rng,

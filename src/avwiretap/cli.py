@@ -483,9 +483,6 @@ def main(argv=None) -> int:
                 table = cmd_verify(cfg, seed)
             else:
                 table = cmd_schedule(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ToyScaleError as exc:
         print(f"refusing oversized run: {exc}", file=sys.stderr)
         return EXIT_CAPPED

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, gammaln, nbdtr, xlogy
 
-from .channel import EveTrace, PowerConfig, complex_normal, eve_observe
+from .channel import EveTrace, PowerConfig, complex_normal, eve_observe, transmit
 from .codebook import (
     _SAMPLE_BATCH,
     BinningParams,
@@ -63,8 +63,28 @@ def _density_chunks(trace: EveTrace, pc: PowerConfig, blocks: int, rng):
     for done in range(0, blocks, _DENSITY_CHUNK):
         b = min(_DENSITY_CHUNK, blocks - done)
         xt = complex_normal(rng, (b, pc.n_tx, trace.n), var=pc.per_antenna_var)
-        x = xt + complex_normal(rng, (b, pc.n_tx, trace.n))
-        yield _density_bits(xt, eve_observe(x, trace), trace, pc.p_prime)
+        yield _density_bits(xt, eve_observe(transmit(xt, rng), trace), trace, pc.p_prime)
+
+
+def _poisson_terms(a, k: int) -> np.ndarray:
+    """Poisson(r; a) = e^(-a) a^r / r! for r < k, along a new last axis."""
+    a = np.asarray(a, dtype=float)[..., None]
+    r = np.arange(k)
+    return np.exp(xlogy(r, a) - a - gammaln(r + 1.0))
+
+
+def _erlang_cdf(t, k: int) -> np.ndarray:
+    """P(G <= t) for G ~ Gamma(k) with integer shape k and unit scale,
+    elementwise in t >= 0: one minus the finite Poisson sum over r < k."""
+    return 1.0 - np.sum(_poisson_terms(t, k), axis=-1)
+
+
+def _ks_scaled(cdf) -> float:
+    """sqrt(m) times the Kolmogorov-Smirnov distance of m sorted points whose
+    hypothesised CDF values are ``cdf``; asymptotically Kolmogorov under it."""
+    m = cdf.size
+    steps = np.arange(m + 1) / m
+    return math.sqrt(m) * float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
 
 
 def density_law_cdf(t, k: int) -> np.ndarray:
@@ -85,10 +105,7 @@ def density_law_cdf(t, k: int) -> np.ndarray:
         raise ValueError("gamma shape must be a positive integer")
     k = int(k)
     t = np.asarray(t, dtype=float)
-    a = np.abs(t)[..., None]
-    r = np.arange(k)
-    poisson = np.exp(xlogy(r, a) - a - gammaln(r + 1.0))
-    upper = poisson @ nbdtr(k - 1 - r, k, 0.5)
+    upper = _poisson_terms(np.abs(t), k) @ nbdtr(k - 1 - np.arange(k), k, 0.5)
     return np.where(t < 0, upper, 1.0 - upper)
 
 
@@ -124,10 +141,7 @@ def density_law_ks(trace: EveTrace, pc: PowerConfig, blocks: int, rng) -> float:
         raise ValueError("need at least one block")
     dens = np.concatenate(list(_density_chunks(trace, pc, blocks, rng)))
     stat = np.sort(density_law_stat(dens, trace.n, trace.n_eve, pc))
-    cdf = density_law_cdf(stat, trace.n_eve * trace.n)
-    steps = np.arange(blocks + 1) / blocks
-    d = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
-    return math.sqrt(blocks) * float(d)
+    return _ks_scaled(density_law_cdf(stat, trace.n_eve * trace.n))
 
 
 def _clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> float:
@@ -332,9 +346,7 @@ def estimate_leakage_mi(
         b = min(_SAMPLE_BATCH, samples - done)
         w = rng.integers(cb.n_bins, size=b)
         j = rng.integers(cb.per_bin, size=b)
-        x = cb.codewords[w * cb.per_bin + j]
-        noisy = x + complex_normal(rng, x.shape)
-        z = eve_observe(noisy, trace).reshape(b, -1)
+        z = eve_observe(transmit(cb.codewords[w * cb.per_bin + j], rng), trace).reshape(b, -1)
         lb = _binned_lse(z, image, cb.n_bins)
         log_bin = lb[np.arange(b), w] - math.log(cb.per_bin)
         log_all = _lse(lb, 1)[:, 0] - math.log(cb.size)
@@ -385,8 +397,7 @@ def eve_second_moment_check(
     if trials < 2:
         raise ValueError("need at least two trials")
     idx = rng.integers(cb.size, size=trials)
-    x = cb.codewords[idx] + complex_normal(rng, (trials, cb.n_tx, cb.n))
-    z = eve_observe(x, trace)
+    z = eve_observe(transmit(cb.codewords[idx], rng), trace)
     energies = np.sum(np.abs(z) ** 2, axis=(1, 2))
     empirical = float(np.mean(energies))
     stderr = float(np.std(energies, ddof=1) / math.sqrt(trials))

@@ -293,8 +293,8 @@ def schedule_params(
     log_m = 2.0 * eps_prime * n
 
     def growth_at(nn: int) -> bool:
-        # e^2 e^(-c' nn) < e^(-eps' nn)
-        return 2.0 - c_prime * nn < -eps_prime * nn
+        # e^2 e^(-c' nn) < e^(-eps' nn), in a form monotone in nn
+        return (c_prime - eps_prime) * nn > 2.0
 
     def net_at(nn: int) -> bool:
         # 2 M + 1 <= e^(4 eps' nn) with M = e^(2 eps' nn)

@@ -17,6 +17,7 @@ seed, one per blocklength or check, so a seed fixes the output bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -144,8 +145,7 @@ class ResultTable:
     def write(self, fh):
         for key in sorted(self.metadata):
             fh.write(f"# {key}={self.metadata[key]}\n")
-        fh.write(",".join(self.columns) + "\n")
-        for row in self.rows:
+        for row in (self.columns, *self.rows):
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
@@ -154,23 +154,26 @@ def _format_cell(v) -> str:
         return "1" if v else "0"
     if isinstance(v, float):
         return f"{v:.12g}"
-    return str(v)
+    v = str(v)
+    # quoted as csv.writer quotes, for csv.reader in read_table; csv.writer
+    # itself writes the same bytes but made 5,000-row tables ~10% slower
+    if "," in v or '"' in v or "\n" in v or "\r" in v:
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def read_table(path):
     """Reload a CSV written by ``ResultTable.write`` (metadata, header, rows)."""
-    metadata, columns, rows = {}, None, []
-    with open(path) as fh:
+    metadata, body = {}, []
+    with open(path, newline="") as fh:
         for line in fh:
-            line = line.rstrip("\n")
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 metadata[key] = value
-            elif columns is None:
-                columns = line.split(",")
-            elif line:
-                rows.append(line.split(","))
-    return metadata, columns, rows
+            else:
+                body.append(line)
+    table = [row for row in csv.reader(body) if row]
+    return metadata, (table[0] if table else None), table[1:]
 
 
 def load_config(path) -> dict:

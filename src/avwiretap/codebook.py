@@ -316,7 +316,9 @@ def ml_decode_main(y, ch: MainChannel, cb: Codebook):
         raise DimensionError("channel and codebook disagree on transmit antennas")
     chol = np.linalg.cholesky(effective_noise_cov(ch))
     whiten = np.linalg.inv(chol)
-    clean = (whiten @ ch.h @ cb.codewords).reshape(cb.size, -1)
+    # one GEMM against the codewords side by side, (n_tx, count n)
+    clean = whiten @ ch.h @ cb.codewords.transpose(1, 0, 2).reshape(cb.n_tx, -1)
+    clean = clean.reshape(ch.n_rx, cb.size, cb.n).transpose(1, 0, 2).reshape(cb.size, -1)
     k = _nearest((whiten @ y).reshape(-1, clean.shape[1]), clean).reshape(y.shape[:-2])
     return divmod(int(k), cb.per_bin) if y.ndim == 2 else np.divmod(k, cb.per_bin)
 
@@ -370,8 +372,15 @@ def estimate_decode_error(
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
+def mean_stderr(values):
+    """Mean and standard error, std(ddof=1) / sqrt(m), of m samples along the
+    first axis.  Both passes run over the stored samples, so a spread small
+    next to the mean loses no digits to E[x^2] - mean^2 cancellation."""
+    values = np.asarray(values, dtype=float)
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+
+
 def codebook_ensemble(bp: BinningParams, pc: PowerConfig, books: int, rng, stat):
-    """Mean and standard error, std(ddof=1) / sqrt(books), of ``stat(codebook)``
-    (a number or a tuple of numbers) across ``books`` fresh codebooks."""
-    vals = np.array([stat(sample_codebook(bp, pc, rng)) for _ in range(books)], dtype=float)
-    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(books)
+    """``mean_stderr`` of ``stat(codebook)`` (a number or a tuple of numbers)
+    across ``books`` fresh codebooks."""
+    return mean_stderr([stat(sample_codebook(bp, pc, rng)) for _ in range(books)])

@@ -31,6 +31,7 @@ from .codebook import (
     check_toy_caps,
     codebook_ensemble,
     estimate_decode_error,
+    mean_stderr,
 )
 from .quantization import truncation_exponent, truncation_mass
 
@@ -178,30 +179,24 @@ def info_density_tail(
 
     Zero-hit tails report a one-sided 95% upper bound; the slope is a
     log-linear fit over the strictly positive estimates (nan when fewer
-    than two).
+    than two).  The mean density's standard error comes from
+    ``mean_stderr``: the sample standard deviation with divisor trials - 1,
+    over sqrt(trials).
     """
     if delta <= 0:
         raise ValueError("tail offset must be positive")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 2:
+        raise ValueError("need at least two trials")
 
     threshold = n_eve * math.log2(pc.p_prime) + delta
-    estimates, uppers, means, sems = [], [], [], []
+    estimates, uppers, moments = [], [], []
     for n in n_values:
         trace = EveTrace.random(n_eve, pc.n_tx, int(n), rng)
-        hits = 0
-        total = 0.0
-        total_sq = 0.0
-        for dens in _density_chunks(trace, pc, trials, rng):
-            hits += int(np.sum(dens > threshold))
-            total += float(np.sum(dens))
-            total_sq += float(np.sum(dens**2))
+        dens = np.concatenate(list(_density_chunks(trace, pc, trials, rng)))
+        hits = int(np.count_nonzero(dens > threshold))
         estimates.append(hits / trials)
         uppers.append(_clopper_pearson_upper(hits, trials))
-        mean = total / trials
-        var = max(total_sq / trials - mean * mean, 0.0)
-        means.append(mean)
-        sems.append(math.sqrt(var / trials))
+        moments.append(mean_stderr(dens))
 
     estimates = np.array(estimates)
     n_arr = np.asarray(list(n_values), dtype=float)
@@ -210,13 +205,14 @@ def info_density_tail(
         slope = float(np.polyfit(n_arr[positive], np.log(estimates[positive]), 1)[0])
     else:
         slope = math.nan
+    means, sems = np.array(moments, dtype=float).reshape(-1, 2).T
     return TailScan(
         n_values=tuple(int(n) for n in n_values),
         threshold_offset=delta,
         estimates=estimates,
         upper95=np.array(uppers),
-        mean_density=np.array(means),
-        mean_stderr=np.array(sems),
+        mean_density=means,
+        mean_stderr=sems,
         slope=slope,
     )
 
@@ -313,9 +309,8 @@ def estimate_variational_distance(
             ratio = np.exp(np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP))
             values.append(0.5 * np.abs(1.0 - ratio))
             done += b
-    values = np.concatenate(values)
-    d_hat = min(float(np.mean(values)), 1.0)
-    stderr = float(np.std(values, ddof=1) / math.sqrt(values.size))
+    mean, stderr = map(float, mean_stderr(np.concatenate(values)))
+    d_hat = min(mean, 1.0)
     return LeakageEstimate(
         d_hat=d_hat,
         stderr=stderr,
@@ -334,15 +329,15 @@ def estimate_leakage_mi(
     Samples labels and observations from the true encoder pipeline and
     averages the log ratio between the per-bin and whole-book mixture
     densities.  Exact mixtures over all codewords, so the toy caps apply.
+    Returns the mean and its standard error from ``mean_stderr``: the sample
+    standard deviation with divisor samples - 1, over sqrt(samples).
     """
     check_toy_caps(cb.size, cb.n)
     if samples < 2:
         raise ValueError("need at least two samples")
     image = _image(eve_observe(cb.codewords, trace).reshape(cb.size, -1))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
+    values = []
+    for done in range(0, samples, _SAMPLE_BATCH):
         b = min(_SAMPLE_BATCH, samples - done)
         w = rng.integers(cb.n_bins, size=b)
         j = rng.integers(cb.per_bin, size=b)
@@ -350,13 +345,8 @@ def estimate_leakage_mi(
         lb = _binned_lse(z, image, cb.n_bins)
         log_bin = lb[np.arange(b), w] - math.log(cb.per_bin)
         log_all = _lse(lb, 1)[:, 0] - math.log(cb.size)
-        vals = (log_bin - log_all) / math.log(2)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-        done += b
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+        values.append((log_bin - log_all) / math.log(2))
+    return tuple(map(float, mean_stderr(np.concatenate(values))))
 
 
 def truncated_vs_gaussian_distance(
@@ -398,9 +388,7 @@ def eve_second_moment_check(
         raise ValueError("need at least two trials")
     idx = rng.integers(cb.size, size=trials)
     z = eve_observe(transmit(cb.codewords[idx], rng), trace)
-    energies = np.sum(np.abs(z) ** 2, axis=(1, 2))
-    empirical = float(np.mean(energies))
-    stderr = float(np.std(energies, ddof=1) / math.sqrt(trials))
+    empirical, stderr = map(float, mean_stderr(np.sum(np.abs(z) ** 2, axis=(1, 2))))
     bound = cb.n * trace.n_eve * (cb.pc.p + 1.0)
     return SecondMomentCheck(
         empirical=empirical,

@@ -35,22 +35,25 @@ def capacity_term(x: float, convention: str = "full") -> float:
     return scale * math.log2(1.0 + x)
 
 
-def main_mutual_info(ch: MainChannel, pc: PowerConfig, convention: str = "full") -> float:
-    """Rate across the main channel with isotropic input and artificial noise.
+def _mode_rate(singular_values, p: float, n_t: int, convention: str) -> float:
+    """Sum over the spatial modes of C(s^2 p / ((s^2 + 1) n_t)): each mode with
+    gain s shares the code power p with the n_t antennas, and the artificial
+    noise raises its noise floor to s^2 + 1."""
+    return sum(
+        capacity_term(s * s * p / ((s * s + 1.0) * n_t), convention)
+        for s in singular_values
+    )
 
-    Each spatial mode with gain s sees snr s^2 p / ((s^2 + 1) n), the
-    artificial noise having raised the per-mode noise floor to s^2 + 1.
-    """
+
+def main_mutual_info(ch: MainChannel, pc: PowerConfig, convention: str = "full") -> float:
+    """Rate across the main channel with isotropic input and artificial noise
+    (``_mode_rate`` at the code power p)."""
     if pc.n_tx != ch.n_modes:
         raise DimensionError(
             f"power config is for {pc.n_tx} active antennas but the channel "
             f"has {ch.n_modes} modes"
         )
-    p = pc.p
-    return sum(
-        capacity_term(s * s * p / ((s * s + 1.0) * pc.n_tx), convention)
-        for s in ch.singular_values
-    )
+    return _mode_rate(ch.singular_values, pc.p, pc.n_tx, convention)
 
 
 def leakage_cap(
@@ -223,11 +226,8 @@ def _square_pair(ch1: MainChannel, ch2: MainChannel) -> int:
 def _single_user_rate(
     ch: MainChannel, p: float, n_t: int, n_eve: int, convention: str
 ) -> float:
-    term = sum(
-        capacity_term(s * s * p / ((s * s + 1.0) * n_t), convention)
-        for s in ch.singular_values
-    ) - n_eve * capacity_term(p, convention)
-    return max(term, 0.0)
+    mi = _mode_rate(ch.singular_values, p, n_t, convention)
+    return max(mi - n_eve * capacity_term(p, convention), 0.0)
 
 
 def mac_region(

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from avwiretap import cli
-from avwiretap.cli import EXIT_INTERNAL, ConfigError, main, parse_matrix, read_table
+from avwiretap.cli import (
+    EXIT_INTERNAL,
+    ConfigError,
+    ResultTable,
+    main,
+    parse_matrix,
+    read_table,
+)
 from avwiretap.codebook import ToyScaleError
 
 
@@ -437,3 +444,22 @@ def test_schedule_beyond_float_range_is_a_config_error(tmp_path, capsys, payload
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not out.exists()
+
+
+def test_table_cells_with_commas_round_trip(tmp_path):
+    table = ResultTable(columns=["check", "description", "observed", "passed"])
+    table.metadata["seed"] = "3"
+    table.add("output-invariance", "follows CN(0, p' I), \"exactly\"", 0.5, True)
+    table.add("plain", "no comma here", 1.25, False)
+    out = tmp_path / "t.csv"
+    with open(out, "w") as fh:
+        table.write(fh)
+    meta, columns, rows = read_table(out)
+    assert meta == {"seed": "3"}
+    assert columns == table.columns
+    assert rows == [
+        ["output-invariance", "follows CN(0, p' I), \"exactly\"", "0.5", "1"],
+        ["plain", "no comma here", "1.25", "0"],
+    ]
+    # a row without commas is written bare, one line, as before
+    assert out.read_text().splitlines()[-1] == "plain,no comma here,1.25,0"

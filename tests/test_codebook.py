@@ -1,4 +1,5 @@
 import math
+import statistics
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from avwiretap.codebook import (
     binning_params,
     estimate_decode_error,
     eve_bin_decode,
+    mean_stderr,
     ml_decode_main,
     sample_codebook,
 )
@@ -261,3 +263,16 @@ def test_small_books_draw_one_batch_of_256():
     cb = sample_codebook(bp, pc, rng)
     assert np.array_equal(cb.codewords, _accepted_stream(bp, pc, ref, 256)[: cb.size])
     assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_mean_stderr_keeps_digits_of_a_small_spread():
+    # spread 1e-6 around a mean of 1: the one-pass E[x^2] - mean^2 variance
+    # keeps only a few of its digits
+    m = 1000
+    x = 1.0 + 1e-6 * np.random.default_rng(17).standard_normal(m)
+    mean, stderr = mean_stderr(x)
+    ref = statistics.stdev(x.tolist()) / math.sqrt(m)
+    assert mean == pytest.approx(statistics.fmean(x.tolist()), rel=1e-15)
+    assert stderr == pytest.approx(ref, rel=1e-9)
+    one_pass = math.sqrt(max(np.mean(x**2) - np.mean(x) ** 2, 0.0) * m / (m - 1) / m)
+    assert abs(one_pass / ref - 1.0) > 1e-6

@@ -81,6 +81,13 @@ def test_info_density_tail_zero_hits_reports_upper_bound(rng):
     assert math.isnan(scan.slope)
 
 
+def test_info_density_tail_needs_two_trials_for_its_stderr(rng):
+    with pytest.raises(ValueError, match="two trials"):
+        info_density_tail([8], delta=1.0, pc=_pc(), n_eve=1, trials=1, rng=rng)
+    scan = info_density_tail([8], delta=1.0, pc=_pc(), n_eve=1, trials=2, rng=rng)
+    assert np.isfinite(scan.mean_stderr[0]) and scan.mean_stderr[0] > 0
+
+
 def _strong_setup(rng, n, delta_n=0.5, delta_prime=0.25):
     pc = _pc()
     ch = MainChannel(np.eye(2))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from avwiretap.channel import EveTrace, complex_normal, random_eve_state
@@ -350,6 +350,8 @@ def _unit_step_walk(predicate, start, limit=100_000):
 # flickered with n when c' / eps' - 1 was below about 1e-5
 @settings(max_examples=300, deadline=None)
 @given(st.floats(1e-6, 1.0), st.floats(-4.0, 2.0))
+# c' = 1.1: (c' - eps') 20 = 2.0000000000000018, so 20 is the exact minimum
+@example(eps_prime=1.0, log_gap=-1.0)
 def test_schedule_minimum_matches_unit_step_walk(eps_prime, log_gap):
     c_prime = eps_prime * (1.0 + 10.0**log_gap)
     assume(c_prime > eps_prime)

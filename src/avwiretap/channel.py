@@ -11,7 +11,6 @@ eavesdropper's equivalent channel into a unit-noise Gaussian channel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +206,8 @@ class PowerConfig:
     ``p = max(pbar - n_tx, 0)`` for the code.  Codewords are drawn with
     per-antenna variance ``p * (1 - eps_p) / n_tx`` so that the hard
     per-codeword power cap at ``p`` keeps a nonvanishing acceptance rate.
+    ``pbar`` may also be an array of budgets, for the closed-form rates over
+    a power grid; the derived powers are then arrays over it.
     """
 
     pbar: float
@@ -214,7 +215,8 @@ class PowerConfig:
     n_tx: int
 
     def __post_init__(self):
-        if not math.isfinite(self.pbar) or self.pbar < 0:
+        pbar = np.asarray(self.pbar, dtype=float)
+        if not np.all(np.isfinite(pbar)) or np.any(pbar < 0):
             raise ValueError("power budget must be finite and nonnegative")
         if not 0.0 <= self.eps_p < 1.0:
             raise ValueError("truncation margin must lie in [0, 1)")
@@ -223,8 +225,8 @@ class PowerConfig:
 
     @property
     def p(self) -> float:
-        """Backed-off code power."""
-        return max(float(self.pbar) - self.n_tx, 0.0)
+        """Backed-off code power (an array over an array of budgets)."""
+        return np.maximum(np.asarray(self.pbar, dtype=float) - self.n_tx, 0.0)
 
     @property
     def per_antenna_var(self) -> float:

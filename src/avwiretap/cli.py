@@ -49,7 +49,6 @@ from .quantization import schedule_params, two_stage_overhead
 from .rates import (
     bc_region,
     converse_rate_bound,
-    leakage_cap,
     mac_region,
     main_mutual_info,
     secrecy_rate,
@@ -142,18 +141,49 @@ class ResultTable:
             raise ValueError("row width does not match the header")
         self.rows.append(tuple(values))
 
+    def add_columns(self, *columns):
+        """Add one row per entry of the equally long array or list columns;
+        any other value fills its column on every row."""
+        if len(columns) != len(self.columns):
+            raise ValueError("row width does not match the header")
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        length = max(len(c) for c in cells if isinstance(c, list))
+        if any(isinstance(c, list) and len(c) != length for c in cells):
+            raise ValueError("columns differ in length")
+        self.rows.extend(zip(*(c if isinstance(c, list) else [c] * length for c in cells)))
+
     def write(self, fh):
         for key in sorted(self.metadata):
             fh.write(f"# {key}={self.metadata[key]}\n")
-        for row in (self.columns, *self.rows):
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        fh.write(",".join(map(_format_cell, self.columns)) + "\n")
+        if self.rows:
+            formats, columns = zip(*map(_column_format, zip(*self.rows)))
+            line = ",".join(formats) + "\n"
+            fh.write("".join(line % row for row in zip(*columns)))
+
+
+_FLAG_TYPES = (bool, np.bool_)
+_FLOAT_TYPES = (float, np.floating)
+
+
+def _column_format(cells) -> tuple:
+    """The %-format of one column and the cells to fill it with, writing
+    each cell as ``_format_cell`` does: %.12g for a column of real floats,
+    %d for one of integers or flags (%d writes a flag as 1/0), and %s over
+    the cells formatted one by one for any other column."""
+    kinds = set(map(type, cells))
+    if all(issubclass(k, _FLOAT_TYPES) for k in kinds):
+        return "%.12g", cells
+    if all(issubclass(k, (int, np.integer, np.bool_)) for k in kinds):
+        return "%d", cells
+    return "%s", [_format_cell(v) for v in cells]
 
 
 def _format_cell(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, _FLAG_TYPES):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return f"{v:.12g}"
+    if isinstance(v, _FLOAT_TYPES):
+        return "%.12g" % v
     v = str(v)
     # quoted as csv.writer quotes, for csv.reader in read_table; csv.writer
     # itself writes the same bytes but made 5,000-row tables ~10% slower
@@ -216,11 +246,21 @@ def _config_hash(cfg: dict) -> str:
 
 def _power_grid(value) -> np.ndarray:
     if isinstance(value, list):
-        return np.asarray(value, dtype=float)
+        grid = np.asarray(value, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise ConfigError("pbar_grid must be a nonempty flat list of power budgets")
+        return grid
     if isinstance(value, dict):
         num = int(value.get("num", 20))
         start, stop = float(value["start"]), float(value["stop"])
-        if value.get("spacing", "log") == "log":
+        spacing = value.get("spacing", "log")
+        if spacing not in ("log", "linear"):
+            raise ConfigError(f"pbar_grid spacing must be 'log' or 'linear', not {spacing!r}")
+        if num < 1:
+            raise ConfigError(f"pbar_grid needs num >= 1 points, not {num}")
+        if spacing == "log":
+            if start <= 0 or stop <= 0:
+                raise ConfigError("a log-spaced pbar_grid needs start and stop above 0")
             return np.logspace(math.log10(start), math.log10(stop), num)
         return np.linspace(start, stop, num)
     raise ConfigError("pbar_grid must be a list or {'start','stop','num','spacing'}")
@@ -240,20 +280,15 @@ def cmd_rate(cfg: dict, convention: str) -> ResultTable:
         n_eve = int(_require(cfg, "n_eve"))
         eps_p = float(cfg.get("eps_p", 0.0))
         grid = _power_grid(_require(cfg, "pbar_grid"))
+    pc = PowerConfig(pbar=grid, eps_p=eps_p, n_tx=ch.n_modes)
+    res = secrecy_rate(ch, pc, n_eve, convention)
     table = ResultTable(
         columns=["pbar", "p", "main_mi", "leakage_cap", "secrecy_rate", "converse_bound"]
     )
-    for pbar in grid:
-        pc = PowerConfig(pbar=float(pbar), eps_p=eps_p, n_tx=ch.n_modes)
-        res = secrecy_rate(ch, pc, n_eve, convention)
-        table.add(
-            float(pbar),
-            pc.p,
-            res.main_mi,
-            leakage_cap(pc, n_eve, "conservative", convention),
-            res.rate_bits,
-            converse_rate_bound(ch, float(pbar), n_eve, convention),
-        )
+    table.add_columns(
+        grid, pc.p, res.main_mi, res.leakage_cap, res.rate_bits,
+        converse_rate_bound(ch, grid, n_eve, convention),
+    )
     return table
 
 
@@ -278,10 +313,8 @@ def cmd_region(cfg: dict, convention: str) -> ResultTable:
     else:
         region = bc_region(ch1, ch2, pbar, n_eve, convention)
     table = ResultTable(columns=["r1", "r2", "hull"])
-    for r1, r2 in region.raw_points:
-        table.add(float(r1), float(r2), False)
-    for r1, r2 in region.hull:
-        table.add(float(r1), float(r2), True)
+    table.add_columns(region.raw_points[:, 0], region.raw_points[:, 1], False)
+    table.add_columns(region.hull[:, 0], region.hull[:, 1], True)
     return table
 
 
@@ -396,17 +429,16 @@ def cmd_schedule(cfg: dict) -> ResultTable:
             "stage2_per_use",
         ]
     )
-    for n in n_values:
-        sp = schedule_params(
-            eps_prime, n, c_prime, alpha_eps, alpha_eps_p, error_exponent, pert
-        )
-        table.add(
-            n, sp.eps_n, sp.log_k, sp.log_m, sp.distance_exponent_ok,
-            sp.residual_tail_ok, sp.truncation_tail_ok, sp.decoding_exponent_ok,
-            sp.growth_ok, "" if sp.drift_ok is None else sp.drift_ok,
-            "" if sp.min_feasible_n is None else sp.min_feasible_n,
-            overhead, stage2,
-        )
+    sp = schedule_params(
+        eps_prime, n_values, c_prime, alpha_eps, alpha_eps_p, error_exponent, pert
+    )
+    table.add_columns(
+        n_values, sp.eps_n, sp.log_k, sp.log_m, sp.distance_exponent_ok,
+        sp.residual_tail_ok, sp.truncation_tail_ok, sp.decoding_exponent_ok,
+        sp.growth_ok, "" if sp.drift_ok is None else sp.drift_ok,
+        "" if sp.min_feasible_n is None else sp.min_feasible_n,
+        overhead, stage2,
+    )
     return table
 
 

@@ -224,6 +224,9 @@ class ScheduleParams:
     beat eps', the decoding exponent must beat 2 eps', the distance-decay
     margin must have kicked in at this blocklength, and (when channel
     constants are supplied) the drift cap must already be below its target.
+    ``schedule_params`` over an array of blocklengths returns one whose
+    per-blocklength fields (``n``, ``eps_n``, ``log_k``, ``log_m``,
+    ``growth_ok``, ``drift_ok``) are arrays over it.
     """
 
     eps_prime: float
@@ -267,6 +270,12 @@ def _min_n_satisfying(predicate, start: int) -> int:
     return hi
 
 
+# libm's exp, elementwise: numpy's vectorized exp differs from it in the
+# last bit on some 6% of inputs, and that shows in a 12-digit eps_n cell
+# about once in 10^5 schedule rows
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
+
+
 def schedule_params(
     eps_prime: float,
     n: int,
@@ -283,16 +292,21 @@ def schedule_params(
     ``error_exponent`` for decoding) are natural-log rates as supplied or
     measured by the caller.  ``perturbation`` optionally carries
     (p, n_tx, n_eve, eps) so the drift condition can be evaluated too.
+    ``n`` is one blocklength or a sequence of them; the exponent flags and
+    the minimum feasible blocklength do not depend on it and are computed
+    once.
     """
     if eps_prime <= 0:
         raise ValueError("schedule exponent must be positive")
-    if n < 1:
+    # float, not int64: a blocklength past 2^63 still has its exponents
+    n_float = np.asarray(n, dtype=float)
+    if np.any(n_float < 1):
         raise ValueError("blocklength must be >= 1")
-    eps_n = math.exp(-n * eps_prime)
-    log_k = 2.0 * eps_prime * n
-    log_m = 2.0 * eps_prime * n
+    eps_n = np.asarray(_libm_exp(-n_float * eps_prime), dtype=float)
+    log_k = 2.0 * eps_prime * n_float
+    log_m = log_k
 
-    def growth_at(nn: int) -> bool:
+    def growth_at(nn):
         # e^2 e^(-c' nn) < e^(-eps' nn), in a form monotone in nn
         return (c_prime - eps_prime) * nn > 2.0
 
@@ -316,21 +330,25 @@ def schedule_params(
         n_net = _min_n_satisfying(net_at, max(int(net_start), 1))
         min_feasible = max(n_growth, n_net)
 
-    drift_ok: bool | None = None
+    drift_ok = None
     if perturbation is not None:
         p, n_tx, n_eve, eps = perturbation
         if p == 0:
-            drift_ok = True
+            drift_ok = np.full(n_float.shape, True)
         else:
             log_r_prime = 0.5 * math.log(2.0 * n_tx * n_eve * p) - log_m
-            r_prime = math.exp(log_r_prime) if log_r_prime > -700 else 0.0
-            if r_prime == 0.0:
-                drift_ok = True
-            else:
-                r = r_prime + math.sqrt(n_eve * (1.0 + eps))
-                log_ng = math.log(n) + math.log(r_prime * (2.0 * r + r_prime))
-                drift_ok = log_ng < -1.5 * eps_prime * n
+            r_prime = np.where(log_r_prime > -700, np.exp(log_r_prime), 0.0)
+            r = r_prime + math.sqrt(n_eve * (1.0 + eps))
+            # r' = 0 gives log 0 = -inf: no drift at all
+            with np.errstate(divide="ignore"):
+                log_ng = np.log(n_float) + np.log(r_prime * (2.0 * r + r_prime))
+            drift_ok = log_ng < -1.5 * eps_prime * n_float
 
+    per_n = [eps_n, log_k, log_m, growth_at(n_float), drift_ok]
+    if n_float.ndim == 0:
+        # one blocklength: plain Python numbers and flags
+        per_n = [None if v is None else v.item() for v in per_n]
+    eps_n, log_k, log_m, growth_ok, drift_ok = per_n
     return ScheduleParams(
         eps_prime=eps_prime,
         n=n,
@@ -341,7 +359,7 @@ def schedule_params(
         residual_tail_ok=eps_prime < alpha_eps,
         truncation_tail_ok=eps_prime < alpha_eps_p,
         decoding_exponent_ok=2.0 * eps_prime < error_exponent,
-        growth_ok=growth_at(n),
+        growth_ok=growth_ok,
         drift_ok=drift_ok,
         min_feasible_n=min_feasible,
     )

@@ -1,4 +1,5 @@
 import ctypes
+import io
 import json
 import math
 import os
@@ -189,6 +190,17 @@ def test_rate_rejects_non_finite_power(tmp_path):
     cfg = _write_cfg(
         tmp_path, "rate.json",
         {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [math.nan, 10, 100]},
+    )
+    code, out = _run(tmp_path, "rate", "--config", cfg)
+    assert code == 1
+    assert not out.exists()
+
+
+def test_rate_rejects_a_negative_budget_anywhere_in_the_grid(tmp_path):
+    # the grid is checked as a whole before any row is computed
+    cfg = _write_cfg(
+        tmp_path, "rate.json",
+        {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10, 100, -1e-9, 1000]},
     )
     code, out = _run(tmp_path, "rate", "--config", cfg)
     assert code == 1
@@ -463,3 +475,41 @@ def test_table_cells_with_commas_round_trip(tmp_path):
     ]
     # a row without commas is written bare, one line, as before
     assert out.read_text().splitlines()[-1] == "plain,no comma here,1.25,0"
+
+
+def test_format_cell_numpy_scalars():
+    # numpy flags are 1/0 like Python ones, and every real float is %.12g
+    assert [cli._format_cell(v) for v in (np.True_, np.False_, True, False)] == ["1", "0", "1", "0"]
+    assert cli._format_cell(np.float32(0.1)) == "%.12g" % float(np.float32(0.1)) == "0.10000000149"
+    assert cli._format_cell(np.float64(1 / 3)) == cli._format_cell(1 / 3) == "0.333333333333"
+    assert cli._format_cell(np.int64(7)) == "7"
+    # the columnar writer gives the same bytes as formatting cell by cell
+    table = ResultTable(columns=["flag", "x", "k", "mixed", "text"])
+    table.add(np.True_, np.float32(0.1), np.int64(3), 2, "a,b")
+    table.add(False, 2.5, 4, 0.5, "")
+    table.add_columns(np.array([True, False]), np.array([1e-300, -0.0]), [5, 6], "", "c")
+    out = io.StringIO()
+    table.write(out)
+    expected = ["flag,x,k,mixed,text"] + [
+        ",".join(cli._format_cell(v) for v in row) for row in table.rows
+    ]
+    assert out.getvalue().splitlines() == expected
+    assert expected[1:] == ["1,0.10000000149,3,2,\"a,b\"", "0,2.5,4,0.5,", "1,1e-300,5,,c", "0,-0,6,,c"]
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [({"start": 10, "stop": 1000, "num": 5, "spacing": "Log"}, "spacing"),
+     ({"start": 10, "stop": 1000, "num": 0}, "num"),
+     ({"start": 0, "stop": 1000, "num": 5, "spacing": "log"}, "log-spaced"),
+     ([], "nonempty"), ([[10.0, 100.0]], "flat list")],
+)
+def test_bad_power_grid_is_a_config_error(tmp_path, capsys, grid, message):
+    cfg = _write_cfg(
+        tmp_path, "rate.json", {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": grid}
+    )
+    code, out = _run(tmp_path, "rate", "--config", cfg)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]

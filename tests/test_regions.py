@@ -56,6 +56,57 @@ def test_hull_counterclockwise_and_matches_qhull(rng):
         assert area > 0
 
 
+def _extreme_points(points):
+    """Brute-force reference: a point is a vertex of the convex hull when
+    the directions to all other points fit in an arc shorter than pi (a
+    point between two others sees them at exactly pi, so a collinear point
+    is no vertex).  An arc shorter than pi misses either angle 0 or angle
+    pi, so its span shows in the angles taken in (-pi, pi] or in [0, 2 pi)."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    n = len(pts)
+    if n == 1:
+        return [tuple(pts[0])]
+    vertices = []
+    for start in range(0, n, 256):
+        block = pts[start:start + 256]
+        d = pts[None, :, :] - block[:, None, :]
+        angles = np.arctan2(d[..., 1], d[..., 0])
+        # a point's own direction is undefined: repeat its neighbour's
+        rows = np.arange(len(block))
+        angles[rows, start + rows] = angles[rows, (start + rows + 1) % n]
+        span = np.ptp(angles, axis=1)
+        angles[angles < 0.0] += 2.0 * math.pi
+        span = np.minimum(span, np.ptp(angles, axis=1))
+        vertices += map(tuple, block[span < math.pi])
+    return vertices
+
+
+def _closure(pts):
+    """The points with their axis projections and the origin."""
+    return np.vstack(
+        [pts, pts * [1.0, 0.0], pts * [0.0, 1.0], [[0.0, 0.0]]]
+    )
+
+
+@pytest.mark.parametrize("shape", ["mac-curve", "cloud"])
+def test_hull_matches_brute_force_extreme_points(shape):
+    rng = np.random.default_rng(2024)
+    if shape == "mac-curve":
+        # a concave rate-pair curve of 2,000 points, as the MAC sweep traces
+        t = np.linspace(0.0, 0.5 * math.pi, 2000)
+        pts = np.column_stack([3.0 * np.cos(t), 2.0 * np.sin(t)])
+    else:
+        pts = rng.uniform(-1.0, 5.0, size=(400, 2))
+    hull = convex_hull_2d(pts)
+    assert sorted(map(tuple, hull)) == sorted(_extreme_points(_closure(pts)))
+    # counterclockwise from the lexicographically smallest vertex, every turn
+    # strictly to the left: no collinear vertex is kept
+    assert tuple(hull[0]) == min(map(tuple, hull))
+    a, b, c = hull, np.roll(hull, -1, axis=0), np.roll(hull, -2, axis=0)
+    turn = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    assert np.all(turn > 0)
+
+
 def _identity_pair():
     return MainChannel(np.eye(2)), MainChannel(np.eye(2))
 

@@ -58,8 +58,8 @@ def sweep(budget: str, seeds) -> tuple[list, dict, dict]:
     order, red, seconds = [], defaultdict(list), defaultdict(list)
     with timed_rows(seconds):
         for seed in seeds:
-            table = cmd_verify({"budget": budget}, seed)
-            for check_id, *_, passed in table.rows:
+            header, (block,) = cmd_verify({"budget": budget}, seed)
+            for check_id, passed in zip(block[0], block[header.index("passed")]):
                 if check_id not in order:
                     order.append(check_id)
                 if not passed:

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,36 +129,33 @@ def _one_blas_thread():
             put(count)
 
 
-@dataclass
-class ResultTable:
-    columns: list
-    rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+def write_table(fh, metadata: dict, header: list, blocks) -> None:
+    """Write the sorted metadata lines, the header and then each block's rows.
 
-    def add(self, *values):
-        if len(values) != len(self.columns):
+    A block holds one entry per column: an equally long array or list, or
+    one value that fills its column on every row of the block.  Each block
+    is written with one %-format string, in which a fill value stands
+    formatted once by ``_format_cell``."""
+    for key in sorted(metadata):
+        fh.write(f"# {key}={metadata[key]}\n")
+    fh.write(",".join(map(_format_cell, header)) + "\n")
+    for block in blocks:
+        if len(block) != len(header):
             raise ValueError("row width does not match the header")
-        self.rows.append(tuple(values))
-
-    def add_columns(self, *columns):
-        """Add one row per entry of the equally long array or list columns;
-        any other value fills its column on every row."""
-        if len(columns) != len(self.columns):
-            raise ValueError("row width does not match the header")
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        length = max(len(c) for c in cells if isinstance(c, list))
-        if any(isinstance(c, list) and len(c) != length for c in cells):
+        formats, columns = [], []
+        for cells in block:
+            if isinstance(cells, np.ndarray):
+                cells = cells.tolist()
+            if isinstance(cells, list):
+                fmt, cells = _column_format(cells)
+                columns.append(cells)
+            else:
+                fmt = _format_cell(cells).replace("%", "%%")
+            formats.append(fmt)
+        if len(set(map(len, columns))) > 1:
             raise ValueError("columns differ in length")
-        self.rows.extend(zip(*(c if isinstance(c, list) else [c] * length for c in cells)))
-
-    def write(self, fh):
-        for key in sorted(self.metadata):
-            fh.write(f"# {key}={self.metadata[key]}\n")
-        fh.write(",".join(map(_format_cell, self.columns)) + "\n")
-        if self.rows:
-            formats, columns = zip(*map(_column_format, zip(*self.rows)))
-            line = ",".join(formats) + "\n"
-            fh.write("".join(line % row for row in zip(*columns)))
+        line = ",".join(formats) + "\n"
+        fh.write("".join(line % row for row in zip(*columns)))
 
 
 _FLAG_TYPES = (bool, np.bool_)
@@ -193,7 +189,7 @@ def _format_cell(v) -> str:
 
 
 def read_table(path):
-    """Reload a CSV written by ``ResultTable.write`` (metadata, header, rows)."""
+    """Reload a CSV written by ``write_table`` (metadata, header, rows)."""
     metadata, body = {}, []
     with open(path, newline="") as fh:
         for line in fh:
@@ -274,7 +270,7 @@ def _spawn_rngs(seed: int, count: int):
 # subcommands
 
 
-def cmd_rate(cfg: dict, convention: str) -> ResultTable:
+def cmd_rate(cfg: dict, convention: str) -> tuple:
     with _config_read():
         ch = MainChannel(parse_matrix(_require(cfg, "channel")))
         n_eve = int(_require(cfg, "n_eve"))
@@ -282,17 +278,14 @@ def cmd_rate(cfg: dict, convention: str) -> ResultTable:
         grid = _power_grid(_require(cfg, "pbar_grid"))
     pc = PowerConfig(pbar=grid, eps_p=eps_p, n_tx=ch.n_modes)
     res = secrecy_rate(ch, pc, n_eve, convention)
-    table = ResultTable(
-        columns=["pbar", "p", "main_mi", "leakage_cap", "secrecy_rate", "converse_bound"]
-    )
-    table.add_columns(
+    header = ["pbar", "p", "main_mi", "leakage_cap", "secrecy_rate", "converse_bound"]
+    return header, [[
         grid, pc.p, res.main_mi, res.leakage_cap, res.rate_bits,
         converse_rate_bound(ch, grid, n_eve, convention),
-    )
-    return table
+    ]]
 
 
-def cmd_region(cfg: dict, convention: str) -> ResultTable:
+def cmd_region(cfg: dict, convention: str) -> tuple:
     with _config_read():
         model = _require(cfg, "model")
         if model not in ("mac", "bc"):
@@ -312,19 +305,19 @@ def cmd_region(cfg: dict, convention: str) -> ResultTable:
         region = mac_region(ch1, ch2, pbar, n_eve, alphas, convention)
     else:
         region = bc_region(ch1, ch2, pbar, n_eve, convention)
-    table = ResultTable(columns=["r1", "r2", "hull"])
-    table.add_columns(region.raw_points[:, 0], region.raw_points[:, 1], False)
-    table.add_columns(region.hull[:, 0], region.hull[:, 1], True)
-    return table
+    return ["r1", "r2", "hull"], [
+        [region.raw_points[:, 0], region.raw_points[:, 1], False],
+        [region.hull[:, 0], region.hull[:, 1], True],
+    ]
 
 
-def cmd_simulate(cfg: dict, seed: int) -> ResultTable:
+def cmd_simulate(cfg: dict, seed: int) -> tuple:
     with _config_read():
         pbar = float(cfg.get("pbar", 6.0))
         eps_p = float(cfg.get("eps_p", 0.5))
         n_tx = int(cfg.get("n_tx", 2))
         n_eve = int(cfg.get("n_eve", 1))
-        n_values = [int(v) for v in cfg.get("n_values", [2, 4, 8])]
+        n_values = _n_values(cfg, [2, 4, 8])
         delta_n = float(cfg.get("delta_n", 0.5))
         delta_prime = float(cfg.get("delta_prime", 0.25))
         mode = cfg.get("mode", "strong")
@@ -345,13 +338,11 @@ def cmd_simulate(cfg: dict, seed: int) -> ResultTable:
     i_main = main_mutual_info(ch, pc)
     i_eve = n_eve * math.log2(pc.p_prime)
 
-    table = ResultTable(
-        columns=[
-            "n", "n_bins", "per_bin", "main_err", "main_err_se", "eve_err",
-            "eve_err_se", "d_hat", "d_se", "mi_hat", "mi_se", "mi_bound",
-            "saturated",
-        ]
-    )
+    header = [
+        "n", "n_bins", "per_bin", "main_err", "main_err_se", "eve_err",
+        "eve_err_se", "d_hat", "d_se", "mi_hat", "mi_se", "mi_bound", "saturated",
+    ]
+    rows = []
     trials = max(1, error_trials // books)
     for n, rng in zip(n_values, _spawn_rngs(seed, len(n_values))):
         # single-draw codebooks fluctuate at toy blocklengths, so every
@@ -374,21 +365,24 @@ def cmd_simulate(cfg: dict, seed: int) -> ResultTable:
         mi_bound = leakage_from_distance(
             total_distance_bound(float(mean[2]), n, pc), bp.n_bins
         )
-        table.add(
+        rows.append((
             n, bp.n_bins, bp.per_bin, float(mean[0]), float(stderr[0]),
             float(mean[1]), float(stderr[1]), float(mean[2]), float(stderr[2]),
             float(mean[3]), float(stderr[3]), mi_bound, bool(mean[4] > 0),
-        )
-    return table
+        ))
+    return header, [[list(column) for column in zip(*rows)]]
 
 
-def cmd_verify(cfg: dict, seed: int) -> ResultTable:
+def cmd_verify(cfg: dict, seed: int) -> tuple:
     budget = cfg.get("budget", "standard")
     if budget not in ("light", "standard"):
         raise ConfigError("budget must be 'light' or 'standard'")
+    inject = cfg.get("inject_noncanonical", False)
+    if not isinstance(inject, bool):
+        raise ConfigError("inject_noncanonical must be true or false")
     rngs = iter(_spawn_rngs(seed, 32))
     results = default_verification_suite(rngs, budget)
-    if cfg.get("inject_noncanonical"):
+    if inject:
         # negative control: a scaled row is not canonical and must trip the
         # whiteness check
         bad = [np.array([[1.4, 0.0]], dtype=complex)]
@@ -396,16 +390,15 @@ def cmd_verify(cfg: dict, seed: int) -> ResultTable:
             0,
             noise_whiteness_check(1, 2, 1, 20_000, next(rngs), state_mats=bad),
         )
-    table = ResultTable(columns=["check", "description", "observed", "bound", "passed"])
-    for res in results:
-        table.add(res.check_id, res.description, res.observed, res.bound, res.passed)
-    return table
+    header = ["check", "description", "observed", "bound", "passed"]
+    fields = ("check_id", "description", "observed", "bound", "passed")
+    return header, [[[getattr(res, f) for res in results] for f in fields]]
 
 
-def cmd_schedule(cfg: dict) -> ResultTable:
+def cmd_schedule(cfg: dict) -> tuple:
     with _config_read():
         eps_prime = float(_require(cfg, "eps_prime"))
-        n_values = [int(v) for v in cfg.get("n_values", [1000])]
+        n_values = _n_values(cfg, [1000])
         c_prime = float(cfg.get("c_prime", 0.05))
         alpha_eps = float(cfg.get("alpha_eps", 0.05))
         alpha_eps_p = float(cfg.get("alpha_eps_p", 0.05))
@@ -421,25 +414,29 @@ def cmd_schedule(cfg: dict) -> ResultTable:
                 float(pert_cfg["eps"]),
             )
     overhead, stage2 = two_stage_overhead(eps_prime, r0)
-    table = ResultTable(
-        columns=[
-            "n", "eps_n", "log_k", "log_m", "distance_exponent_ok",
-            "residual_tail_ok", "truncation_tail_ok", "decoding_exponent_ok",
-            "growth_ok", "drift_ok", "min_feasible_n", "overhead_factor",
-            "stage2_per_use",
-        ]
-    )
+    header = [
+        "n", "eps_n", "log_k", "log_m", "distance_exponent_ok",
+        "residual_tail_ok", "truncation_tail_ok", "decoding_exponent_ok",
+        "growth_ok", "drift_ok", "min_feasible_n", "overhead_factor",
+        "stage2_per_use",
+    ]
     sp = schedule_params(
         eps_prime, n_values, c_prime, alpha_eps, alpha_eps_p, error_exponent, pert
     )
-    table.add_columns(
+    return header, [[
         n_values, sp.eps_n, sp.log_k, sp.log_m, sp.distance_exponent_ok,
         sp.residual_tail_ok, sp.truncation_tail_ok, sp.decoding_exponent_ok,
         sp.growth_ok, "" if sp.drift_ok is None else sp.drift_ok,
         "" if sp.min_feasible_n is None else sp.min_feasible_n,
         overhead, stage2,
-    )
-    return table
+    ]]
+
+
+def _n_values(cfg: dict, default: list) -> list:
+    n_values = [int(v) for v in cfg.get("n_values", default)]
+    if not n_values:
+        raise ConfigError("n_values must be a nonempty list of blocklengths")
+    return n_values
 
 
 def _require(cfg: dict, key: str):
@@ -509,15 +506,15 @@ def main(argv=None) -> int:
 
         with _one_blas_thread():
             if args.command == "rate":
-                table = cmd_rate(cfg, convention)
+                header, blocks = cmd_rate(cfg, convention)
             elif args.command == "region":
-                table = cmd_region(cfg, convention)
+                header, blocks = cmd_region(cfg, convention)
             elif args.command == "simulate":
-                table = cmd_simulate(cfg, seed)
+                header, blocks = cmd_simulate(cfg, seed)
             elif args.command == "verify":
-                table = cmd_verify(cfg, seed)
+                header, blocks = cmd_verify(cfg, seed)
             else:
-                table = cmd_schedule(cfg)
+                header, blocks = cmd_schedule(cfg)
     except ToyScaleError as exc:
         print(f"refusing oversized run: {exc}", file=sys.stderr)
         return EXIT_CAPPED
@@ -529,26 +526,25 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    table.metadata.update(
-        {
-            "command": args.command,
-            "config_hash": _config_hash(cfg),
-            "seed": "" if seed is None else seed,
-            "version": __version__,
-            "convention": convention,
-        }
-    )
+    metadata = {
+        "command": args.command,
+        "config_hash": _config_hash(cfg),
+        "seed": "" if seed is None else seed,
+        "version": __version__,
+        "convention": convention,
+    }
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                table.write(fh)
+                write_table(fh, metadata, header, blocks)
         except OSError as exc:
             print(f"config error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        table.write(sys.stdout)
+        write_table(sys.stdout, metadata, header, blocks)
     if args.command == "verify":
-        failed = [row for row in table.rows if not row[-1]]
+        (block,) = blocks
+        failed = [passed for passed in block[header.index("passed")] if not passed]
         if failed:
             print(f"{len(failed)} verification check(s) failed", file=sys.stderr)
             return EXIT_VERIFY_FAILED

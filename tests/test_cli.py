@@ -11,10 +11,10 @@ from avwiretap import cli
 from avwiretap.cli import (
     EXIT_INTERNAL,
     ConfigError,
-    ResultTable,
     main,
     parse_matrix,
     read_table,
+    write_table,
 )
 from avwiretap.codebook import ToyScaleError
 
@@ -322,7 +322,7 @@ def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, capsys, raised, 
         seen.append(_openblas_threads(libs))
         if raised is not None:
             raise raised
-        return cli.ResultTable(columns=["x"])
+        return ["x"], []
 
     monkeypatch.setattr(cli, "cmd_rate", command)
     try:
@@ -367,6 +367,22 @@ def test_verify_negative_control_fails(tmp_path):
     assert code == 2
     _, columns, rows = read_table(out)
     assert rows[0][columns.index("passed")] == "0"
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [("simulate", {"n_values": []}, "n_values"),
+     ("schedule", {"eps_prime": 0.05, "n_values": []}, "n_values"),
+     # the string "false" is truthy and must not inject the scaled state
+     ("verify", {"budget": "light", "inject_noncanonical": "false"}, "inject_noncanonical")],
+)
+def test_empty_n_values_and_non_boolean_control_are_config_errors(tmp_path, capsys, command, payload, key):
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    code, out = _run(tmp_path, command, "--config", cfg, "--seed", "5")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
+    assert not out.exists()
 
 
 def test_schedule_command_values(tmp_path):
@@ -459,16 +475,15 @@ def test_schedule_beyond_float_range_is_a_config_error(tmp_path, capsys, payload
 
 
 def test_table_cells_with_commas_round_trip(tmp_path):
-    table = ResultTable(columns=["check", "description", "observed", "passed"])
-    table.metadata["seed"] = "3"
-    table.add("output-invariance", "follows CN(0, p' I), \"exactly\"", 0.5, True)
-    table.add("plain", "no comma here", 1.25, False)
+    header = ["check", "description", "observed", "passed"]
+    block = [["output-invariance", "plain"],
+             ["follows CN(0, p' I), \"exactly\"", "no comma here"], [0.5, 1.25], [True, False]]
     out = tmp_path / "t.csv"
     with open(out, "w") as fh:
-        table.write(fh)
+        write_table(fh, {"seed": "3"}, header, [block])
     meta, columns, rows = read_table(out)
     assert meta == {"seed": "3"}
-    assert columns == table.columns
+    assert columns == header
     assert rows == [
         ["output-invariance", "follows CN(0, p' I), \"exactly\"", "0.5", "1"],
         ["plain", "no comma here", "1.25", "0"],
@@ -483,18 +498,28 @@ def test_format_cell_numpy_scalars():
     assert cli._format_cell(np.float32(0.1)) == "%.12g" % float(np.float32(0.1)) == "0.10000000149"
     assert cli._format_cell(np.float64(1 / 3)) == cli._format_cell(1 / 3) == "0.333333333333"
     assert cli._format_cell(np.int64(7)) == "7"
-    # the columnar writer gives the same bytes as formatting cell by cell
-    table = ResultTable(columns=["flag", "x", "k", "mixed", "text"])
-    table.add(np.True_, np.float32(0.1), np.int64(3), 2, "a,b")
-    table.add(False, 2.5, 4, 0.5, "")
-    table.add_columns(np.array([True, False]), np.array([1e-300, -0.0]), [5, 6], "", "c")
-    out = io.StringIO()
-    table.write(out)
-    expected = ["flag,x,k,mixed,text"] + [
-        ",".join(cli._format_cell(v) for v in row) for row in table.rows
+    # the block writer gives the same bytes as formatting cell by cell, with
+    # a fill value (here one holding %, a comma and a quote) on every row
+    header = ["flag", "x", "k", "mixed", "text"]
+    blocks = [
+        [[np.True_, False], [np.float32(0.1), 2.5], [np.int64(3), 4], [2, 0.5], ["a,b", ""]],
+        [np.array([True, False]), np.array([1e-300, -0.0]), [5, 6], "", "c"],
+        [np.array([False]), 1 / 3, [7], '5%,"x"', ["d"]],
     ]
+    out = io.StringIO()
+    write_table(out, {}, header, blocks)
+    rows = [
+        [np.True_, np.float32(0.1), np.int64(3), 2, "a,b"], [False, 2.5, 4, 0.5, ""],
+        [True, 1e-300, 5, "", "c"], [False, -0.0, 6, "", "c"], [False, 1 / 3, 7, '5%,"x"', "d"],
+    ]
+    expected = ["flag,x,k,mixed,text"] + [",".join(map(cli._format_cell, row)) for row in rows]
     assert out.getvalue().splitlines() == expected
-    assert expected[1:] == ["1,0.10000000149,3,2,\"a,b\"", "0,2.5,4,0.5,", "1,1e-300,5,,c", "0,-0,6,,c"]
+    assert expected[1:] == ["1,0.10000000149,3,2,\"a,b\"", "0,2.5,4,0.5,", "1,1e-300,5,,c", "0,-0,6,,c",
+                            '0,0.333333333333,7,"5%,""x""",d']
+    with pytest.raises(ValueError, match="differ in length"):
+        write_table(io.StringIO(), {}, header, [[[True, False], [1.0], 0.5, "", "e"]])
+    with pytest.raises(ValueError, match="row width"):
+        write_table(io.StringIO(), {}, header, [[[True], [1.0]]])
 
 
 @pytest.mark.parametrize(

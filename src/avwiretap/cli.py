@@ -271,6 +271,7 @@ def _spawn_rngs(seed: int, count: int):
 
 
 def cmd_rate(cfg: dict, convention: str) -> tuple:
+    _known_keys(cfg, "channel", "n_eve", "eps_p", "pbar_grid")
     with _config_read():
         ch = MainChannel(parse_matrix(_require(cfg, "channel")))
         n_eve = int(_require(cfg, "n_eve"))
@@ -290,6 +291,10 @@ def cmd_region(cfg: dict, convention: str) -> tuple:
         model = _require(cfg, "model")
         if model not in ("mac", "bc"):
             raise ConfigError("model must be 'mac' or 'bc'")
+        _known_keys(
+            cfg, "model", "channel1", "channel2", "pbar", "n_eve",
+            *(["alpha_grid"] if model == "mac" else []),
+        )
         ch1 = MainChannel(parse_matrix(_require(cfg, "channel1")))
         ch2 = MainChannel(parse_matrix(_require(cfg, "channel2")))
         pbar = float(_require(cfg, "pbar"))
@@ -312,6 +317,11 @@ def cmd_region(cfg: dict, convention: str) -> tuple:
 
 
 def cmd_simulate(cfg: dict, seed: int) -> tuple:
+    _known_keys(
+        cfg, "pbar", "eps_p", "n_tx", "n_eve", "n_values", "delta_n",
+        "delta_prime", "mode", "distance_samples", "mi_samples",
+        "error_trials", "codebooks", "w_subset", "channel",
+    )
     with _config_read():
         pbar = float(cfg.get("pbar", 6.0))
         eps_p = float(cfg.get("eps_p", 0.5))
@@ -329,14 +339,16 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
             raise ConfigError("Monte Carlo budgets must be positive")
         if books < 2:
             raise ConfigError("need at least two codebooks per blocklength")
-        for n in n_values:
-            # refuse before binning_params sizes 2^(n rate) codewords
-            check_toy_caps(0, n)
         w_count = int(cfg.get("w_subset", 4))
         ch = MainChannel(parse_matrix(cfg.get("channel", {"identity": n_tx})))
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)
     i_main = main_mutual_info(ch, pc)
     i_eve = n_eve * math.log2(pc.p_prime)
+    # size every book, and refuse one past the exact-mixture caps, before
+    # any Monte Carlo work
+    bps = [binning_params(i_main, i_eve, n, delta_n, delta_prime, mode) for n in n_values]
+    for n, bp in zip(n_values, bps):
+        check_toy_caps(bp.n_bins * bp.per_bin, n)
 
     header = [
         "n", "n_bins", "per_bin", "main_err", "main_err_se", "eve_err",
@@ -344,11 +356,10 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
     ]
     rows = []
     trials = max(1, error_trials // books)
-    for n, rng in zip(n_values, _spawn_rngs(seed, len(n_values))):
+    for n, bp, rng in zip(n_values, bps, _spawn_rngs(seed, len(n_values))):
         # single-draw codebooks fluctuate at toy blocklengths, so every
         # statistic is an ensemble average with its spread taken across
         # freshly drawn books
-        bp = binning_params(i_main, i_eve, n, delta_n, delta_prime, mode)
         trace = EveTrace.random(n_eve, n_tx, n, rng)
 
         def stats(cb):
@@ -374,6 +385,7 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
 
 
 def cmd_verify(cfg: dict, seed: int) -> tuple:
+    _known_keys(cfg, "budget", "inject_noncanonical")
     budget = cfg.get("budget", "standard")
     if budget not in ("light", "standard"):
         raise ConfigError("budget must be 'light' or 'standard'")
@@ -396,6 +408,10 @@ def cmd_verify(cfg: dict, seed: int) -> tuple:
 
 
 def cmd_schedule(cfg: dict) -> tuple:
+    _known_keys(
+        cfg, "eps_prime", "n_values", "c_prime", "alpha_eps", "alpha_eps_p",
+        "error_exponent", "r0", "perturbation",
+    )
     with _config_read():
         eps_prime = float(_require(cfg, "eps_prime"))
         n_values = _n_values(cfg, [1000])
@@ -437,6 +453,14 @@ def _n_values(cfg: dict, default: list) -> list:
     if not n_values:
         raise ConfigError("n_values must be a nonempty list of blocklengths")
     return n_values
+
+
+def _known_keys(cfg: dict, *keys: str) -> None:
+    """Refuse every top-level config key that the command does not read, so
+    a mistyped key is an error rather than a silent default."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
 
 
 def _require(cfg: dict, key: str):

@@ -225,9 +225,14 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
     )
 
 
-# Rows (decoder trials or mixture samples) per distance buffer, so no batch
-# builds a (rows, centers) matrix taller than this.
+# Rows (decoder trials or mixture samples) per batch.
 _SAMPLE_BATCH = 512
+# Float64 entries (512 KB) of the one distance buffer that ``_binned_lse``
+# streams the centers through, so a panel stays in L2 from its GEMM through
+# its exp to its per-bin sum; also its bound on the underflow fallback.
+_PANEL = 2**16
+# Float64 entries (8 MB) of a decoder's distance buffer.
+_DECODE_ENTRIES = 2**20
 # A bin whose shift-free exp-sum falls below this has lost precision to
 # underflow (its nearest center is hundreds of units away), so its row is
 # recomputed with a max-shift.
@@ -248,17 +253,24 @@ def _image(centers: np.ndarray) -> np.ndarray:
     return image
 
 
-def _neg_sqdist(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """-|z - c|^2 for every complex row z and image center c, in one (rows,
-    count) buffer written by one real GEMM of the rows [re z | im z | 1 |
-    |z|^2] against the augmented image."""
+def _augment(z_flat: np.ndarray) -> np.ndarray:
+    """Complex rows (rows, dim) as the real augmented rows (rows, 2 dim + 2)
+    [re z | im z | 1 | |z|^2], the sample side of ``_neg_sqdist``: their
+    product with an image row is -|z - c|^2."""
     rows, dim = z_flat.shape
     z = np.empty((rows, 2 * dim + 2))
     z[:, :dim] = z_flat.real
     z[:, dim:-2] = z_flat.imag
     z[:, -2] = 1.0
     z[:, -1] = np.einsum("ij,ij->i", z[:, :-2], z[:, :-2])
-    return z @ image.T
+    return z
+
+
+def _neg_sqdist(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """-|z - c|^2 for every complex row z and image center c, in one (rows,
+    count) buffer written by one real GEMM of the augmented rows against the
+    augmented image."""
+    return _augment(z_flat) @ image.T
 
 
 def _lse(a: np.ndarray, groups: int) -> np.ndarray:
@@ -272,32 +284,56 @@ def _lse(a: np.ndarray, groups: int) -> np.ndarray:
 
 def _binned_lse(z_flat: np.ndarray, image: np.ndarray, groups: int) -> np.ndarray:
     """ln sum exp(-|z - c|^2) over each of ``groups`` equal column blocks of
-    the image, (rows, groups): the distance buffer is exponentiated in place
-    without a shift and summed per bin.  A row where some bin's sum falls
-    below ``_EXP_SUM_FLOOR`` is recomputed through the max-shift ``_lse``."""
-    d = _neg_sqdist(z_flat, image)
-    sums = np.exp(d, out=d).reshape(d.shape[0], groups, image.shape[0] // groups).sum(axis=2)
-    del d
-    low = np.min(sums, axis=1) < _EXP_SUM_FLOOR
+    the image, (rows, groups).
+
+    The centers stream through one reused (rows, width) buffer of at most
+    ``_PANEL`` entries: each panel of image rows is written by one GEMM,
+    exponentiated in place without a shift and added into its bins' sums,
+    by ``np.add.reduceat`` where the panel crosses a bin edge, so no (rows,
+    count) matrix is built.  A row where some bin's sum falls below
+    ``_EXP_SUM_FLOOR`` is recomputed through the max-shift ``_lse``, at
+    most ``_PANEL // count`` rows at a time."""
+    rows, count = z_flat.shape[0], image.shape[0]
+    per_bin = count // groups
+    z = _augment(z_flat)
+    width = min(count, max(1, _PANEL // max(rows, 1)))
+    buf = np.empty((rows, width))
+    sums = np.zeros((rows, groups))
+    for start in range(0, count, width):
+        d = buf[:, : min(width, count - start)]
+        np.matmul(z, image[start : start + d.shape[1]].T, out=d)
+        np.exp(d, out=d)
+        # the panel's columns from each bin edge it holds, from 0 for the
+        # bin it starts in
+        first, last = start // per_bin, (start + d.shape[1] - 1) // per_bin
+        cuts = np.arange(first, last + 1) * per_bin - start
+        cuts[0] = 0
+        sums[:, first : last + 1] += np.add.reduceat(d, cuts, axis=1)
+    low = np.flatnonzero(np.min(sums, axis=1) < _EXP_SUM_FLOOR)
     sums[low] = 1.0
     out = np.log(sums, out=sums)
-    if low.any():
-        out[low] = _lse(_neg_sqdist(z_flat[low], image), groups)
+    step = max(1, _PANEL // count)
+    for s in range(0, low.size, step):
+        redo = low[s : s + step]
+        out[redo] = _lse(z[redo] @ image.T, groups)
     return out
 
 
 def _nearest(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
     """Index of the nearest center per row, ties to the smallest index; the
     expanded distance rounds differently per center, even for equal centers,
-    so distances within 1e-12 of the squared norms count as tied."""
+    so distances within 1e-12 of the squared norms count as tied.  Rows go
+    in chunks whose distance buffer holds at most ``_DECODE_ENTRIES``."""
     image = _image(centers_flat)
     c_max = -np.min(image[:, -2])
+    step = max(1, min(_SAMPLE_BATCH, _DECODE_ENTRIES // image.shape[0]))
     out = []
-    for s in range(0, z_flat.shape[0], _SAMPLE_BATCH):
-        z = z_flat[s : s + _SAMPLE_BATCH]
+    for s in range(0, z_flat.shape[0], step):
+        z = z_flat[s : s + step]
         d = _neg_sqdist(z, image)
         slack = 1e-12 * (np.sum(np.abs(z) ** 2, axis=1) + c_max)
         out.append(np.argmax(d >= (d.max(axis=1) - slack)[:, None], axis=1))
+        del d  # so the next chunk's buffer does not coexist with this one
     return np.concatenate(out)
 
 

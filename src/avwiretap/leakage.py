@@ -5,11 +5,13 @@ the codebook-induced and ideal eavesdropper output laws, direct leakage
 estimation, and the supporting bound checks.
 
 Every Gaussian mixture is evaluated in the log domain by the codebook
-kernel: -|z - c|^2 for a batch in one real buffer (one real GEMM of the
-augmented sample rows against the augmented codebook image), then an
-in-place exp and a per-bin sum (not scipy's log-sum-exp), with a max-shift
-only for rows whose sums underflow, so exact mixtures stay fast at toy
-scale.
+kernel, which streams the codebook image through one reused 512 KB panel:
+-|z - c|^2 for a batch against one panel of centers (one real GEMM of the
+augmented sample rows against that slice of the augmented image), an
+in-place exp and a per-bin sum added into the bins' totals (not scipy's
+log-sum-exp), with a max-shift only for rows whose sums underflow, so exact
+mixtures stay fast at toy scale and never build a (samples, codewords)
+matrix.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from avwiretap import cli
+from avwiretap import cli, codebook
 from avwiretap.cli import (
     EXIT_INTERNAL,
     ConfigError,
@@ -382,6 +382,39 @@ def test_empty_n_values_and_non_boolean_control_are_config_errors(tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [("rate", {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10.0], "n_eves": 2}, "n_eves"),
+     # alpha_grid is read by the multi-access model only
+     ("region", {"model": "bc", "channel1": {"identity": 2}, "channel2": {"identity": 2},
+                 "pbar": 10.0, "n_eve": 1, "alpha_grid": {"num": 5}}, "alpha_grid"),
+     ("simulate", {"n_value": [2]}, "n_value"),
+     ("verify", {"budget": "light", "inject_noncanonicl": True}, "inject_noncanonicl"),
+     ("schedule", {"eps_prime": 0.05, "c_prim": 0.1}, "c_prim")],
+)
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys, command, payload, key):
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    code, out = _run(tmp_path, command, "--config", cfg, "--seed", "5")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and repr(key) in err[0]
+    assert not out.exists()
+
+
+def test_simulate_refuses_oversized_book_before_sampling(tmp_path, capsys, monkeypatch):
+    # pbar 7.5 sizes a 242,955-word book at n = 8: under the sampler cap,
+    # over the exact-mixture cap of 2^14
+    def no_sampling(*args, **kwargs):
+        raise RuntimeError("sampled a codebook")
+
+    monkeypatch.setattr(codebook, "sample_codebook", no_sampling)
+    cfg = _write_cfg(tmp_path, "sim.json", {"pbar": 7.5, "n_values": [8], "codebooks": 2})
+    code, out = _run(tmp_path, "simulate", "--config", cfg, "--seed", "1")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("refusing oversized run")
     assert not out.exists()
 
 

@@ -2,8 +2,10 @@
 behind the exact mixtures: ``mixture_logpdf`` and ``estimate_leakage_mi``
 agree with direct broadcast distances and scipy's log-sum-exp, far from
 every center and across more than one chunk; the per-bin sums that underflow
-take the max-shift fallback; and one leakage estimate stays inside a fixed
-memory budget.  Also pins ``complex_normal`` to its draw."""
+take the max-shift fallback; ``_binned_lse`` matches a dense reference
+where panel edges cut bins; and the kernel, the decoder's nearest-center
+search and one leakage estimate stay inside fixed memory budgets.  Also
+pins ``complex_normal`` to its draw."""
 
 import math
 import tracemalloc
@@ -73,6 +75,68 @@ def test_binned_lse_falls_back_where_bin_sums_underflow(seed, n_bins, per_bin, d
     assert got.shape == (16, n_bins) and np.all(np.isfinite(got))
     assert np.max(np.abs(got - ref)) <= 1e-9
     assert np.array_equal(_nearest(z, centers), np.argmin(sq, axis=1))
+
+
+def _dense_binned_lse(z, centers, groups):
+    """Per-bin scipy log-sum-exp of direct distances, a few rows at a time."""
+    out = []
+    for s in range(0, z.shape[0], 16):
+        sq = np.sum(np.abs(z[s : s + 16, None, :] - centers[None]) ** 2, axis=2)
+        out.append(logsumexp(-sq.reshape(sq.shape[0], groups, -1), axis=2))
+    return np.concatenate(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3, 257, 600]),
+    st.sampled_from([13, 4099]),
+    st.sampled_from([1, 4, 7]),
+    st.integers(1, 3),
+)
+def test_binned_lse_matches_dense_reference_across_panel_edges(seed, rows, per_bin, groups, dim):
+    # panels hold _PANEL // rows centers, which 13 and 4099 do not divide,
+    # so panel edges fall inside bins; far rows underflow every bin and go
+    # through the fallback, in chunks of _PANEL // count rows
+    rng = np.random.default_rng(seed)
+    centers = complex_normal(rng, (groups * per_bin, dim), var=3.0)
+    z = complex_normal(rng, (rows, dim), var=5.0)
+    far = rng.random(rows) < 0.3
+    z[far] *= 1e3 / np.linalg.norm(z[far], axis=1, keepdims=True)
+    got = _binned_lse(z, _image(centers), groups)
+    ref = _dense_binned_lse(z, centers, groups)
+    assert got.shape == (rows, groups) and np.all(np.isfinite(got))
+    # absolute near the centers, relative out at |z|^2 = 1e6
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_binned_lse_and_nearest_stay_in_bounded_buffers():
+    rng = np.random.default_rng(3)
+    z = complex_normal(rng, (_SAMPLE_BATCH, 8), var=5.0)
+    z[::7] *= 1e3  # far rows take the fallback
+    image = _image(complex_normal(rng, (2**14, 8), var=3.0))
+    tracemalloc.start()
+    try:
+        out = _binned_lse(z, image, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    # one (512, 16384) distance matrix would be 67 MB; the panel is 512 KB
+    assert peak < 4e6
+
+    centers = complex_normal(rng, (2**18, 1))
+    image_bytes = _image(centers).nbytes
+    tracemalloc.start()
+    try:
+        idx = _nearest(z[:, :1], centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.shape == (_SAMPLE_BATCH,)
+    # beyond the (2^18, 4) image the decoder must build (8 MB), rows go in
+    # chunks of one 8 MB distance buffer; all 512 at once would be 1 GB
+    assert peak - image_bytes < 12e6
 
 
 def _reference_leakage_mi(cb, trace, samples, rng):

@@ -239,9 +239,14 @@ class PowerConfig:
 
 
 def transmit(x_tilde, rng) -> np.ndarray:
-    """Superimpose unit-variance artificial noise on coded blocks (..., n_tx, n)."""
+    """Superimpose unit-variance artificial noise on coded blocks (..., n_tx, n).
+
+    The blocks are added into the fresh noise draw in place, so no third
+    block-sized array is built (the sum is the same, bit for bit)."""
     x = as_complex_matrix(x_tilde, stacked=True)
-    return x + complex_normal(rng, x.shape)
+    out = complex_normal(rng, x.shape)
+    out += x
+    return out
 
 
 def main_observe(x, ch: MainChannel, rng) -> np.ndarray:

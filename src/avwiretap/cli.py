@@ -247,7 +247,7 @@ def _power_grid(value) -> np.ndarray:
             raise ConfigError("pbar_grid must be a nonempty flat list of power budgets")
         return grid
     if isinstance(value, dict):
-        num = int(value.get("num", 20))
+        num = _count(value.get("num", 20), "pbar_grid num")
         start, stop = float(value["start"]), float(value["stop"])
         spacing = value.get("spacing", "log")
         if spacing not in ("log", "linear"):
@@ -274,7 +274,7 @@ def cmd_rate(cfg: dict, convention: str) -> tuple:
     _known_keys(cfg, "channel", "n_eve", "eps_p", "pbar_grid")
     with _config_read():
         ch = MainChannel(parse_matrix(_require(cfg, "channel")))
-        n_eve = int(_require(cfg, "n_eve"))
+        n_eve = _count(_require(cfg, "n_eve"), "n_eve")
         eps_p = float(cfg.get("eps_p", 0.0))
         grid = _power_grid(_require(cfg, "pbar_grid"))
     pc = PowerConfig(pbar=grid, eps_p=eps_p, n_tx=ch.n_modes)
@@ -298,13 +298,13 @@ def cmd_region(cfg: dict, convention: str) -> tuple:
         ch1 = MainChannel(parse_matrix(_require(cfg, "channel1")))
         ch2 = MainChannel(parse_matrix(_require(cfg, "channel2")))
         pbar = float(_require(cfg, "pbar"))
-        n_eve = int(_require(cfg, "n_eve"))
+        n_eve = _count(_require(cfg, "n_eve"), "n_eve")
         if model == "mac":
             grid_cfg = cfg.get("alpha_grid", {})
             alphas = np.linspace(
                 float(grid_cfg.get("start", 0.01)),
                 float(grid_cfg.get("stop", 1.0)),
-                int(grid_cfg.get("num", 101)),
+                _count(grid_cfg.get("num", 101), "alpha_grid num"),
             )
     if model == "mac":
         region = mac_region(ch1, ch2, pbar, n_eve, alphas, convention)
@@ -325,22 +325,26 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
     with _config_read():
         pbar = float(cfg.get("pbar", 6.0))
         eps_p = float(cfg.get("eps_p", 0.5))
-        n_tx = int(cfg.get("n_tx", 2))
-        n_eve = int(cfg.get("n_eve", 1))
+        n_tx = _count(cfg.get("n_tx", 2), "n_tx")
+        n_eve = _count(cfg.get("n_eve", 1), "n_eve")
         n_values = _n_values(cfg, [2, 4, 8])
         delta_n = float(cfg.get("delta_n", 0.5))
         delta_prime = float(cfg.get("delta_prime", 0.25))
         mode = cfg.get("mode", "strong")
-        distance_samples = int(cfg.get("distance_samples", 1_000))
-        mi_samples = int(cfg.get("mi_samples", 1_000))
-        error_trials = int(cfg.get("error_trials", 200))
-        books = int(cfg.get("codebooks", 4))
+        distance_samples = _count(cfg.get("distance_samples", 1_000), "distance_samples")
+        mi_samples = _count(cfg.get("mi_samples", 1_000), "mi_samples")
+        error_trials = _count(cfg.get("error_trials", 200), "error_trials")
+        books = _count(cfg.get("codebooks", 4), "codebooks")
         if distance_samples < 2 or mi_samples < 2 or error_trials < 1:
             raise ConfigError("Monte Carlo budgets must be positive")
         if books < 2:
             raise ConfigError("need at least two codebooks per blocklength")
-        w_count = int(cfg.get("w_subset", 4))
+        w_count = _count(cfg.get("w_subset", 4), "w_subset")
+        if w_count < 1:
+            raise ConfigError("w_subset must be at least 1")
         ch = MainChannel(parse_matrix(cfg.get("channel", {"identity": n_tx})))
+        if ch.n_tx != n_tx:
+            raise ConfigError(f"channel has {ch.n_tx} transmit antennas but n_tx is {n_tx}")
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)
     i_main = main_mutual_info(ch, pc)
     i_eve = n_eve * math.log2(pc.p_prime)
@@ -425,8 +429,8 @@ def cmd_schedule(cfg: dict) -> tuple:
         if pert_cfg is not None:
             pert = (
                 float(pert_cfg["p"]),
-                int(pert_cfg["n_tx"]),
-                int(pert_cfg["n_eve"]),
+                _count(pert_cfg["n_tx"], "perturbation n_tx"),
+                _count(pert_cfg["n_eve"], "perturbation n_eve"),
                 float(pert_cfg["eps"]),
             )
     overhead, stage2 = two_stage_overhead(eps_prime, r0)
@@ -449,10 +453,38 @@ def cmd_schedule(cfg: dict) -> tuple:
 
 
 def _n_values(cfg: dict, default: list) -> list:
-    n_values = [int(v) for v in cfg.get("n_values", default)]
-    if not n_values:
+    n_values = cfg.get("n_values", default)
+    if not (isinstance(n_values, list) and n_values):
         raise ConfigError("n_values must be a nonempty list of blocklengths")
-    return n_values
+    return _counts(n_values, "n_values")
+
+
+_COUNT_TYPES = (int, float, np.integer, np.floating)
+
+
+def _counts(values: list, key: str) -> list:
+    """A list of count-valued config entries as ints: integral numbers such
+    as 4 and 4.0 pass; 2.7, a boolean, a string or a float past 2^53 (where
+    floats stop being exact) is a ConfigError.  A list of ints is returned
+    as it is, with no new int objects; any other is checked as one array."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    bad = [k for k in kinds if not issubclass(k, _COUNT_TYPES) or issubclass(k, _FLAG_TYPES)]
+    if not bad:
+        arr = np.asarray(values, dtype=float)
+        ok = (np.abs(arr) <= 2.0**53) & (arr == np.round(arr))
+        if ok.all():
+            return arr.astype(np.int64).tolist()
+        bad_value = values[int(np.argmin(ok))]
+    else:
+        bad_value = next(v for v in values if type(v) in bad)
+    raise ConfigError(f"{key} must hold whole numbers, not {bad_value!r}")
+
+
+def _count(value, key: str) -> int:
+    """One count-valued config entry as int (``_counts``)."""
+    return _counts([value], key)[0]
 
 
 def _known_keys(cfg: dict, *keys: str) -> None:

@@ -11,7 +11,7 @@ configured caps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,8 @@ BLOCKLENGTH_CAP = 32
 # Memory guard for the sampler itself (the mixture cap is enforced by the
 # estimators, not here, so decoder-only experiments may go larger).
 SAMPLER_CODEWORD_CAP = 2**18
-# Complex entries per rejection draw of the sampler (16 MB).
+# Complex entries per rejection round of the sampler, drawn in chunks of
+# at most ``_PANEL`` entries.
 _CANDIDATE_ELEMENTS = 2**20
 
 MODES = ("strong", "weak")
@@ -133,21 +134,30 @@ def binning_params(
 
 @dataclass(frozen=True)
 class Codebook:
-    """Power-capped codewords labeled (bin, within-bin) in row-major order."""
+    """Power-capped codewords labeled (bin, within-bin) in row-major order.
+
+    ``codewords`` is a read-only view, so the eavesdropper image that the
+    book keeps for the last trace it was observed through (``eve_image``)
+    cannot go stale."""
 
     codewords: np.ndarray  # (count, n_tx, n)
     n_bins: int
     per_bin: int
     mode: str
     pc: PowerConfig
+    # (trace, image of the whole book, bins filled so far)
+    _eve: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cw = np.asarray(self.codewords, dtype=np.complex128)
+        cw = np.ascontiguousarray(self.codewords, dtype=np.complex128)
         if cw.ndim != 3 or cw.shape[0] != self.n_bins * self.per_bin:
             raise DimensionError("codeword array must be (n_bins * per_bin, n_tx, n)")
-        power = np.sum(np.abs(cw) ** 2, axis=(1, 2)) / cw.shape[2]
+        flat = cw.reshape(cw.shape[0], -1).view(np.float64)
+        power = np.einsum("ij,ij->i", flat, flat) / cw.shape[2]
         if np.any(power > self.pc.p + 1e-9):
             raise ValueError("every codeword must satisfy the power cap")
+        cw = cw.view()
+        cw.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
 
     @property
@@ -169,10 +179,37 @@ class Codebook:
             raise ValueError(f"within-bin index {j} out of range [0, {self.per_bin})")
         return self.codewords[i * self.per_bin + j]
 
-    def bin_codewords(self, i: int) -> np.ndarray:
+    def _bin_rows(self, i: int) -> slice:
         if not 0 <= i < self.n_bins:
             raise ValueError(f"bin index {i} out of range [0, {self.n_bins})")
-        return self.codewords[i * self.per_bin : (i + 1) * self.per_bin]
+        return slice(i * self.per_bin, (i + 1) * self.per_bin)
+
+    def bin_codewords(self, i: int) -> np.ndarray:
+        return self.codewords[self._bin_rows(i)]
+
+    def eve_image(self, trace: EveTrace, i: int | None = None) -> np.ndarray:
+        """The ``_image`` of the eavesdropper's clean observations of bin i
+        through the trace, or of the whole book when i is None.
+
+        The book keeps one image, for the last trace it was observed
+        through (an ``EveTrace`` is immutable, so it is keyed by identity),
+        and fills it bin by bin as bins are asked for: each codeword goes
+        through ``eve_observe`` once per trace."""
+        if self._eve is None or self._eve[0] is not trace:
+            width = 2 * trace.n_eve * self.n + 2
+            memo = (trace, np.empty((self.size, width)), np.zeros(self.n_bins, dtype=bool))
+            object.__setattr__(self, "_eve", memo)
+        _, image, filled = self._eve
+        rows = slice(None) if i is None else self._bin_rows(i)
+        todo = np.arange(self.n_bins) if i is None else np.array([i])
+        todo = todo[~filled[todo]]
+        # one build per run of consecutive missing bins
+        for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
+            if run.size:
+                part = slice(run[0] * self.per_bin, (run[-1] + 1) * self.per_bin)
+                _book_image(self.codewords[part], lambda c: eve_observe(c, trace), image[part])
+                filled[run] = True
+        return image[rows]
 
 
 def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
@@ -202,18 +239,27 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
             f"{expected_acceptance:.2e} below 1e-6"
         )
     codewords = np.empty((total, pc.n_tx, bp.n), dtype=np.complex128)
+    chunk = max(1, _PANEL // (pc.n_tx * bp.n))
     have = 0
     drawn = 0
     while have < total:
         # enough candidates for the rows still missing at the expected
-        # rate, at most _CANDIDATE_ELEMENTS complex entries per draw
+        # rate, at most _CANDIDATE_ELEMENTS complex entries per round; the
+        # whole round is drawn even once the book is full, in chunks whose
+        # kept rows go straight into the book
         need = math.ceil(1.02 * (total - have) / expected_acceptance) + 16
         batch = max(256, min(need, _CANDIDATE_ELEMENTS // (pc.n_tx * bp.n)))
-        cand = complex_normal(rng, (batch, pc.n_tx, bp.n), var=pc.per_antenna_var)
-        energy = np.sum(cand.view(np.float64).reshape(batch, -1) ** 2, axis=1)
-        take = cand[energy / bp.n <= pc.p][: total - have]
-        codewords[have : have + take.shape[0]] = take
-        have += take.shape[0]
+        for start in range(0, batch, chunk):
+            cand = complex_normal(
+                rng, (min(chunk, batch - start), pc.n_tx, bp.n), var=pc.per_antenna_var
+            )
+            flat = cand.reshape(cand.shape[0], -1).view(np.float64)
+            energy = np.einsum("ij,ij->i", flat, flat)
+            keep = np.flatnonzero(energy / bp.n <= pc.p)[: total - have]
+            # mode="clip" writes into out directly ("raise" buffers a copy)
+            np.take(cand, keep, axis=0, out=codewords[have : have + keep.size], mode="clip")
+            have += keep.size
+            del cand, flat  # so the next chunk does not coexist with this one
         drawn += batch
         if drawn >= 4_000_000 and have < 1e-6 * drawn:
             raise ValueError(
@@ -227,24 +273,23 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
 
 # Rows (decoder trials or mixture samples) per batch.
 _SAMPLE_BATCH = 512
-# Float64 entries (512 KB) of the one distance buffer that ``_binned_lse``
-# streams the centers through, so a panel stays in L2 from its GEMM through
-# its exp to its per-bin sum; also its bound on the underflow fallback.
+# Entries (float64 or complex) of every streamed buffer: the distance panel
+# that ``_binned_lse`` and ``_nearest`` stream the centers through (512 KB,
+# so a panel stays in L2 from its GEMM to its reduction), the sampler's
+# candidate chunk and the observation chunk of ``_book_image``.
 _PANEL = 2**16
-# Float64 entries (8 MB) of a decoder's distance buffer.
-_DECODE_ENTRIES = 2**20
 # A bin whose shift-free exp-sum falls below this has lost precision to
 # underflow (its nearest center is hundreds of units away), so its row is
 # recomputed with a max-shift.
 _EXP_SUM_FLOOR = 1e-250
 
 
-def _image(centers: np.ndarray) -> np.ndarray:
+def _image(centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Complex centers (count, dim) as the real augmented image (count,
-    2 dim + 2) [2 re c | 2 im c | -|c|^2 | -1], the codebook side of
-    ``_neg_sqdist``."""
+    2 dim + 2) [2 re c | 2 im c | -|c|^2 | -1], written into ``out`` when
+    given: its product with an ``_augment`` row is -|z - c|^2."""
     count, dim = centers.shape
-    image = np.empty((count, 2 * dim + 2))
+    image = np.empty((count, 2 * dim + 2)) if out is None else out
     image[:, :dim] = centers.real
     image[:, dim:-2] = centers.imag
     image[:, -2] = -np.einsum("ij,ij->i", image[:, :-2], image[:, :-2])
@@ -253,10 +298,24 @@ def _image(centers: np.ndarray) -> np.ndarray:
     return image
 
 
+def _book_image(codewords: np.ndarray, observe, out: np.ndarray | None = None) -> np.ndarray:
+    """``_image`` of the clean observations ``observe(c)`` (count, ...) of
+    codewords (count, n_tx, n), into one (count, 2 dim + 2) array (``out``
+    when given), observing at most ``_PANEL`` codeword entries at a time."""
+    step = max(1, _PANEL // codewords[0].size)
+    for s in range(0, codewords.shape[0], step):
+        clean = observe(codewords[s : s + step])
+        clean = clean.reshape(clean.shape[0], -1)
+        if out is None:
+            out = np.empty((codewords.shape[0], 2 * clean.shape[1] + 2))
+        _image(clean, out[s : s + clean.shape[0]])
+    return out
+
+
 def _augment(z_flat: np.ndarray) -> np.ndarray:
     """Complex rows (rows, dim) as the real augmented rows (rows, 2 dim + 2)
-    [re z | im z | 1 | |z|^2], the sample side of ``_neg_sqdist``: their
-    product with an image row is -|z - c|^2."""
+    [re z | im z | 1 | |z|^2]: their product with an image row is
+    -|z - c|^2."""
     rows, dim = z_flat.shape
     z = np.empty((rows, 2 * dim + 2))
     z[:, :dim] = z_flat.real
@@ -266,11 +325,15 @@ def _augment(z_flat: np.ndarray) -> np.ndarray:
     return z
 
 
-def _neg_sqdist(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """-|z - c|^2 for every complex row z and image center c, in one (rows,
-    count) buffer written by one real GEMM of the augmented rows against the
-    augmented image."""
-    return _augment(z_flat) @ image.T
+def _panels(z: np.ndarray, image: np.ndarray, buf: np.ndarray):
+    """(first center, -|z - c|^2 for the panel's centers) over the image in
+    panels of ``buf.shape[1]`` centers, each written into ``buf`` by one GEMM
+    of the augmented rows z against that slice of the image."""
+    count, width = image.shape[0], buf.shape[1]
+    for start in range(0, count, width):
+        d = buf[: z.shape[0], : min(width, count - start)]
+        np.matmul(z, image[start : start + d.shape[1]].T, out=d)
+        yield start, d
 
 
 def _lse(a: np.ndarray, groups: int) -> np.ndarray:
@@ -287,21 +350,18 @@ def _binned_lse(z_flat: np.ndarray, image: np.ndarray, groups: int) -> np.ndarra
     the image, (rows, groups).
 
     The centers stream through one reused (rows, width) buffer of at most
-    ``_PANEL`` entries: each panel of image rows is written by one GEMM,
-    exponentiated in place without a shift and added into its bins' sums,
-    by ``np.add.reduceat`` where the panel crosses a bin edge, so no (rows,
-    count) matrix is built.  A row where some bin's sum falls below
-    ``_EXP_SUM_FLOOR`` is recomputed through the max-shift ``_lse``, at
-    most ``_PANEL // count`` rows at a time."""
+    ``_PANEL`` entries: each panel is exponentiated in place without a
+    shift and added into its bins' sums, by ``np.add.reduceat`` where the
+    panel crosses a bin edge, so no (rows, count) matrix is built.  A row
+    where some bin's sum falls below ``_EXP_SUM_FLOOR`` is recomputed
+    through the max-shift ``_lse``, at most ``_PANEL // count`` rows at a
+    time."""
     rows, count = z_flat.shape[0], image.shape[0]
     per_bin = count // groups
     z = _augment(z_flat)
-    width = min(count, max(1, _PANEL // max(rows, 1)))
-    buf = np.empty((rows, width))
+    buf = np.empty((rows, min(count, max(1, _PANEL // max(rows, 1)))))
     sums = np.zeros((rows, groups))
-    for start in range(0, count, width):
-        d = buf[:, : min(width, count - start)]
-        np.matmul(z, image[start : start + d.shape[1]].T, out=d)
+    for start, d in _panels(z, image, buf):
         np.exp(d, out=d)
         # the panel's columns from each bin edge it holds, from 0 for the
         # bin it starts in
@@ -319,22 +379,37 @@ def _binned_lse(z_flat: np.ndarray, image: np.ndarray, groups: int) -> np.ndarra
     return out
 
 
-def _nearest(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per row, ties to the smallest index; the
-    expanded distance rounds differently per center, even for equal centers,
-    so distances within 1e-12 of the squared norms count as tied.  Rows go
-    in chunks whose distance buffer holds at most ``_DECODE_ENTRIES``."""
-    image = _image(centers_flat)
+def _nearest(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """Index of the nearest ``_image`` center per row, ties to the smallest
+    index; the expanded distance rounds differently per center, even for
+    equal centers, so distances within 1e-12 of the squared norms count as
+    tied.
+
+    Rows go in batches of at most ``_SAMPLE_BATCH``, and each batch streams
+    the centers twice through one reused buffer of at most ``_PANEL``
+    entries: the first pass finds each row's best value, the second the
+    first center within the slack of it, and stops once every row has one.
+    Both passes make the same GEMMs, so they see the same values."""
+    rows, count = z_flat.shape[0], image.shape[0]
     c_max = -np.min(image[:, -2])
-    step = max(1, min(_SAMPLE_BATCH, _DECODE_ENTRIES // image.shape[0]))
-    out = []
-    for s in range(0, z_flat.shape[0], step):
-        z = z_flat[s : s + step]
-        d = _neg_sqdist(z, image)
-        slack = 1e-12 * (np.sum(np.abs(z) ** 2, axis=1) + c_max)
-        out.append(np.argmax(d >= (d.max(axis=1) - slack)[:, None], axis=1))
-        del d  # so the next chunk's buffer does not coexist with this one
-    return np.concatenate(out)
+    batch = min(rows, _SAMPLE_BATCH)
+    buf = np.empty((batch, min(count, max(1, _PANEL // max(batch, 1)))))
+    out = np.empty(rows, dtype=np.intp)
+    for s in range(0, rows, _SAMPLE_BATCH):
+        z = _augment(z_flat[s : s + _SAMPLE_BATCH])
+        best = np.full(z.shape[0], -np.inf)
+        for _, d in _panels(z, image, buf):
+            np.maximum(best, d.max(axis=1), out=best)
+        best -= 1e-12 * (z[:, -1] + c_max)
+        found = out[s : s + z.shape[0]]
+        found.fill(-1)
+        for start, d in _panels(z, image, buf):
+            hit = d >= best[:, None]
+            new = (found < 0) & hit.any(axis=1)
+            found[new] = start + np.argmax(hit[new], axis=1)
+            if np.all(found >= 0):
+                break
+    return out
 
 
 def ml_decode_main(y, ch: MainChannel, cb: Codebook):
@@ -352,10 +427,9 @@ def ml_decode_main(y, ch: MainChannel, cb: Codebook):
         raise DimensionError("channel and codebook disagree on transmit antennas")
     chol = np.linalg.cholesky(effective_noise_cov(ch))
     whiten = np.linalg.inv(chol)
-    # one GEMM against the codewords side by side, (n_tx, count n)
-    clean = whiten @ ch.h @ cb.codewords.transpose(1, 0, 2).reshape(cb.n_tx, -1)
-    clean = clean.reshape(ch.n_rx, cb.size, cb.n).transpose(1, 0, 2).reshape(cb.size, -1)
-    k = _nearest((whiten @ y).reshape(-1, clean.shape[1]), clean).reshape(y.shape[:-2])
+    whitened_h = whiten @ ch.h
+    image = _book_image(cb.codewords, lambda c: np.einsum("rt,ktn->krn", whitened_h, c))
+    k = _nearest((whiten @ y).reshape(-1, ch.n_rx * cb.n), image).reshape(y.shape[:-2])
     return divmod(int(k), cb.per_bin) if y.ndim == 2 else np.divmod(k, cb.per_bin)
 
 
@@ -377,8 +451,7 @@ def eve_bin_decode(z, i0, trace: EveTrace, cb: Codebook):
     out = np.empty(bins.size, dtype=np.intp)
     for b in np.unique(bins):
         rows = bins == b
-        clean = eve_observe(cb.bin_codewords(int(b)), trace).reshape(cb.per_bin, -1)
-        out[rows] = _nearest(z_flat[rows], clean)
+        out[rows] = _nearest(z_flat[rows], cb.eve_image(trace, int(b)))
     return int(out[0]) if z.ndim == 2 else out.reshape(z.shape[:-2])
 
 

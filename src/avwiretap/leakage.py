@@ -11,7 +11,8 @@ augmented sample rows against that slice of the augmented image), an
 in-place exp and a per-bin sum added into the bins' totals (not scipy's
 log-sum-exp), with a max-shift only for rows whose sums underflow, so exact
 mixtures stay fast at toy scale and never build a (samples, codewords)
-matrix.
+matrix.  The distance and leakage estimators read the eavesdropper image
+from the book (``Codebook.eve_image``), which builds it once per trace.
 """
 
 from __future__ import annotations
@@ -225,8 +226,13 @@ def info_density_tail(
 
 def mixture_logpdf(z_flat: np.ndarray, centers_flat: np.ndarray) -> np.ndarray:
     """ln of the equal-weight unit-noise Gaussian mixture at the centers."""
-    lse = _binned_lse(z_flat, _image(centers_flat), 1)[:, 0]
-    return lse - math.log(centers_flat.shape[0]) - z_flat.shape[1] * math.log(math.pi)
+    return _image_logpdf(z_flat, _image(centers_flat))
+
+
+def _image_logpdf(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """``mixture_logpdf`` at the centers of an ``_image``."""
+    lse = _binned_lse(z_flat, image, 1)[:, 0]
+    return lse - math.log(image.shape[0]) - z_flat.shape[1] * math.log(math.pi)
 
 
 def isotropic_logpdf(z_flat: np.ndarray, var: float) -> np.ndarray:
@@ -296,13 +302,13 @@ def estimate_variational_distance(
     values = []
     saturated = False
     for w in w_subset:
-        centers = eve_observe(cb.bin_codewords(int(w)), trace).reshape(cb.per_bin, -1)
+        image = cb.eve_image(trace, int(w))
         done = 0
         while done < samples:
             b = min(_SAMPLE_BATCH, samples - done)
             z = complex_normal(rng, (b, dim), var=p_prime)
             if conditional_logpdf is None:
-                log_cond = mixture_logpdf(z, centers)
+                log_cond = _image_logpdf(z, image)
             else:
                 log_cond = conditional_logpdf(z)
             log_ratio = log_cond - isotropic_logpdf(z, p_prime)
@@ -337,7 +343,7 @@ def estimate_leakage_mi(
     check_toy_caps(cb.size, cb.n)
     if samples < 2:
         raise ValueError("need at least two samples")
-    image = _image(eve_observe(cb.codewords, trace).reshape(cb.size, -1))
+    image = cb.eve_image(trace)
     values = []
     for done in range(0, samples, _SAMPLE_BATCH):
         b = min(_SAMPLE_BATCH, samples - done)

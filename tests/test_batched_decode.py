@@ -1,6 +1,8 @@
 """Property tests for the batched decoders: every observation of a batch is
 decoded as a direct per-observation argmin of its own distance would decode
-it, ties included, and across more than one chunk of the distance kernel."""
+it, ties included, and across more than one chunk of the distance kernel.
+Also the book's eavesdropper image: built once per (book, trace), bin by
+bin as bins are asked for, over read-only codewords."""
 
 import math
 
@@ -9,17 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal
+from avwiretap import codebook
+from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe
 from avwiretap.codebook import (
     _SAMPLE_BATCH,
     BinningParams,
     Codebook,
+    _image,
     codebook_ensemble,
     estimate_decode_error,
     eve_bin_decode,
     ml_decode_main,
     sample_codebook,
 )
+from avwiretap.leakage import estimate_leakage_mi, estimate_variational_distance
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -154,3 +159,76 @@ def test_codebook_ensemble_matches_explicit_loop():
     vals = np.array([stat(sample_codebook(bp, pc, rng)) for _ in range(5)])
     assert np.array_equal(mean, vals.mean(axis=0))
     assert np.array_equal(stderr, vals.std(axis=0, ddof=1) / math.sqrt(5))
+
+
+def _observed_rows(monkeypatch, cb):
+    """Wrap the codebook module's ``eve_observe`` and return the list that
+    collects the (first, stop) codeword rows of every call on a slice of
+    the book."""
+    seen = []
+    row_bytes = cb.codewords[0].nbytes
+    base = cb.codewords.__array_interface__["data"][0]
+
+    def wrapped(x, states):
+        if np.shares_memory(x, cb.codewords):
+            first = (x.__array_interface__["data"][0] - base) // row_bytes
+            seen.append((first, first + x.shape[0]))
+        return eve_observe(x, states)
+
+    monkeypatch.setattr(codebook, "eve_observe", wrapped)
+    return seen
+
+
+def _covered(seen):
+    return sorted(r for first, stop in seen for r in range(first, stop))
+
+
+def test_eve_image_observes_each_codeword_once_per_trace(monkeypatch):
+    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
+    bp = BinningParams(n=3, rate_bits=1.0, n_bins=5, per_bin=7, delta_n=0.5,
+                       delta_prime=0.25, mode="strong")
+    rng = np.random.default_rng(8)
+    cb = sample_codebook(bp, pc, rng)
+    trace = EveTrace.random(1, 2, 3, rng)
+    seen = _observed_rows(monkeypatch, cb)
+    estimate_decode_error(cb, trace, 40, rng)
+    estimate_variational_distance(cb, trace, range(3), 20, rng)
+    estimate_leakage_mi(cb, trace, 20, rng)
+    eve_bin_decode(np.zeros((1, 3)), 4, trace, cb)
+    assert _covered(seen) == list(range(cb.size))
+    for i in (0, 4):
+        clean = eve_observe(cb.bin_codewords(i), trace).reshape(cb.per_bin, -1)
+        assert np.array_equal(cb.eve_image(trace, i), _image(clean))
+
+    # a second trace, even an equal one, rebuilds the image
+    other = EveTrace(trace.stacked)
+    seen.clear()
+    estimate_leakage_mi(cb, other, 20, rng)
+    assert _covered(seen) == list(range(cb.size))
+    full = _image(eve_observe(cb.codewords, other).reshape(cb.size, -1))
+    assert np.array_equal(cb.eve_image(other), full)
+
+
+def test_distance_on_one_bin_builds_only_that_bin(monkeypatch):
+    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
+    bp = BinningParams(n=2, rate_bits=1.0, n_bins=300, per_bin=3, delta_n=0.5,
+                       delta_prime=0.25, mode="strong")
+    rng = np.random.default_rng(9)
+    cb = sample_codebook(bp, pc, rng)
+    trace = EveTrace.random(1, 2, 2, rng)
+    seen = _observed_rows(monkeypatch, cb)
+    estimate_variational_distance(cb, trace, [7], 10, rng)
+    assert seen == [(21, 24)]
+
+
+def test_codewords_read_only_and_bins_checked(rng):
+    cb = _book(rng, 2, 3, 2, 2, duplicate=False)
+    assert not cb.codewords.flags.writeable
+    with pytest.raises(ValueError):
+        cb.codewords[0, 0, 0] = 1.0
+    trace = EveTrace.random(1, 2, 2, rng)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            eve_bin_decode(np.zeros((1, 2)), bad, trace, cb)
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_variational_distance(cb, trace, [bad], 4, rng)

@@ -418,6 +418,76 @@ def test_simulate_refuses_oversized_book_before_sampling(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [({"w_subset": 0}, "w_subset"),
+     # a 2x3 main channel fed by two transmit antennas
+     ({"n_tx": 2, "channel": {"rows": 2, "cols": 3,
+                              "entries": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 1]]}},
+      "n_tx")],
+)
+def test_simulate_refuses_bad_subset_or_channel_width_before_sampling(tmp_path, capsys, monkeypatch,
+                                                                       payload, key):
+    def no_sampling(*args, **kwargs):
+        raise RuntimeError("sampled a codebook")
+
+    monkeypatch.setattr(codebook, "sample_codebook", no_sampling)
+    cfg = _write_cfg(tmp_path, "sim.json", payload)
+    code, out = _run(tmp_path, "simulate", "--config", cfg, "--seed", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+_RATE = {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10.0]}
+_MAC = {"model": "mac", "channel1": {"identity": 2}, "channel2": {"identity": 2},
+        "pbar": 10.0, "n_eve": 1}
+_SCHEDULE = {"eps_prime": 0.05, "n_values": [1000],
+             "perturbation": {"p": 4.0, "n_tx": 2, "n_eve": 1, "eps": 0.01}}
+_SIMULATE = {"n_values": [2], "codebooks": 2, "error_trials": 4, "distance_samples": 4,
+             "mi_samples": 4, "w_subset": 1, "n_tx": 2, "n_eve": 1}
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [("simulate", {**_SIMULATE, "n_values": [2.0], "codebooks": 2.0, "error_trials": 4.0,
+                   "distance_samples": 4.0, "mi_samples": 4.0, "w_subset": 1.0,
+                   "n_tx": 2.0, "n_eve": 1.0}, None),
+     ("simulate", {**_SIMULATE, "codebooks": 2.7}, "codebooks"),
+     ("simulate", {**_SIMULATE, "error_trials": True}, "error_trials"),
+     ("simulate", {**_SIMULATE, "distance_samples": 4.5}, "distance_samples"),
+     ("simulate", {**_SIMULATE, "mi_samples": "4"}, "mi_samples"),
+     ("simulate", {**_SIMULATE, "w_subset": 1.5}, "w_subset"),
+     ("simulate", {**_SIMULATE, "n_tx": True}, "n_tx"),
+     ("simulate", {**_SIMULATE, "n_eve": 1.5}, "n_eve"),
+     ("simulate", {**_SIMULATE, "n_values": [2, True]}, "n_values"),
+     ("rate", {**_RATE, "n_eve": 1.0, "pbar_grid": {"start": 10, "stop": 100, "num": 4.0}}, None),
+     ("rate", {**_RATE, "n_eve": True}, "n_eve"),
+     ("rate", {**_RATE, "pbar_grid": {"start": 10, "stop": 100, "num": 3.5}}, "num"),
+     ("region", {**_MAC, "n_eve": 1.0, "alpha_grid": {"num": 5.0}}, None),
+     ("region", {**_MAC, "n_eve": 0.5}, "n_eve"),
+     ("region", {**_MAC, "alpha_grid": {"num": True}}, "num"),
+     ("schedule", {**_SCHEDULE, "n_values": [1000.0, 1001],
+                   "perturbation": {"p": 4.0, "n_tx": 2.0, "n_eve": 1.0, "eps": 0.01}}, None),
+     ("schedule", {**_SCHEDULE, "n_values": [1000, 1000.5]}, "n_values"),
+     ("schedule", {**_SCHEDULE, "perturbation": {"p": 4.0, "n_tx": 2.5, "n_eve": 1, "eps": 0.01}},
+      "n_tx"),
+     ("schedule", {**_SCHEDULE, "perturbation": {"p": 4.0, "n_tx": 2, "n_eve": False, "eps": 0.01}},
+      "n_eve")],
+)
+def test_count_config_values_must_be_whole_numbers(tmp_path, capsys, command, payload, key):
+    # 4 and 4.0 are counts; 2.7, a boolean or a string is a config error
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    code, out = _run(tmp_path, command, "--config", cfg, "--seed", "5")
+    err = capsys.readouterr().err.strip().splitlines()
+    if key is None:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 1 and not out.exists()
+        assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
+
+
 def test_schedule_command_values(tmp_path):
     cfg = _write_cfg(
         tmp_path, "sched.json",

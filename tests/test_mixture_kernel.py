@@ -3,9 +3,10 @@ behind the exact mixtures: ``mixture_logpdf`` and ``estimate_leakage_mi``
 agree with direct broadcast distances and scipy's log-sum-exp, far from
 every center and across more than one chunk; the per-bin sums that underflow
 take the max-shift fallback; ``_binned_lse`` matches a dense reference
-where panel edges cut bins; and the kernel, the decoder's nearest-center
-search and one leakage estimate stay inside fixed memory budgets.  Also
-pins ``complex_normal`` to its draw."""
+where panel edges cut bins and ``_nearest`` a dense argmin where they cut
+ties; and the kernel, the decoder's nearest-center search, the sampler, the
+main decoder and one leakage estimate stay inside fixed memory budgets.
+Also pins ``complex_normal`` to its draw."""
 
 import math
 import tracemalloc
@@ -15,14 +16,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe
+from avwiretap.channel import (
+    EveTrace,
+    MainChannel,
+    PowerConfig,
+    complex_normal,
+    eve_observe,
+    main_observe,
+    transmit,
+)
 from avwiretap.codebook import (
+    _PANEL,
     _SAMPLE_BATCH,
     BinningParams,
     _binned_lse,
     _image,
     _nearest,
     binning_params,
+    ml_decode_main,
     sample_codebook,
 )
 from avwiretap.leakage import estimate_leakage_mi, mixture_logpdf
@@ -74,7 +85,7 @@ def test_binned_lse_falls_back_where_bin_sums_underflow(seed, n_bins, per_bin, d
     got = _binned_lse(z, _image(centers), n_bins)
     assert got.shape == (16, n_bins) and np.all(np.isfinite(got))
     assert np.max(np.abs(got - ref)) <= 1e-9
-    assert np.array_equal(_nearest(z, centers), np.argmin(sq, axis=1))
+    assert np.array_equal(_nearest(z, _image(centers)), np.argmin(sq, axis=1))
 
 
 def _dense_binned_lse(z, centers, groups):
@@ -125,18 +136,75 @@ def test_binned_lse_and_nearest_stay_in_bounded_buffers():
     # one (512, 16384) distance matrix would be 67 MB; the panel is 512 KB
     assert peak < 4e6
 
-    centers = complex_normal(rng, (2**18, 1))
-    image_bytes = _image(centers).nbytes
+    image = _image(complex_normal(rng, (2**18, 1)))
     tracemalloc.start()
     try:
-        idx = _nearest(z[:, :1], centers)
+        idx = _nearest(z[:, :1], image)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert idx.shape == (_SAMPLE_BATCH,)
-    # beyond the (2^18, 4) image the decoder must build (8 MB), rows go in
-    # chunks of one 8 MB distance buffer; all 512 at once would be 1 GB
-    assert peak - image_bytes < 12e6
+    # the centers stream through one 512 KB panel (plus its boolean hit
+    # mask); one (512, 2^18) distance matrix would be 1 GB
+    assert peak < 2 * 8 * _PANEL
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 5, _SAMPLE_BATCH + 1, 2 * _SAMPLE_BATCH + 7]),
+    st.sampled_from([1, 2, 129, 461]),
+    st.integers(1, 3),
+)
+def test_nearest_matches_dense_argmin_across_panel_edges(seed, rows, count, dim):
+    # a batch of min(rows, _SAMPLE_BATCH) rows streams _PANEL // batch
+    # centers per panel, which 129 and 461 do not divide; an exact
+    # duplicate on each side of the first panel edge makes rows at it tie
+    rng = np.random.default_rng(seed)
+    width = _PANEL // min(rows, _SAMPLE_BATCH)
+    centers = complex_normal(rng, (count, dim), var=3.0)
+    if count > width:
+        centers[min(width + 2, count - 1)] = centers[width - 3]
+    z = centers[rng.integers(count, size=rows)] + complex_normal(rng, (rows, dim), var=0.3)
+    z[::3] = centers[min(width - 3, count - 1)]
+    sq = np.sum(np.abs(z[:, None, :] - centers[None]) ** 2, axis=2)
+    got = _nearest(z, _image(centers))
+    assert got.dtype == np.intp and got.shape == (rows,)
+    assert np.array_equal(got, np.argmin(sq, axis=1))
+
+
+def _default_n8_book():
+    """The default simulate's n = 8 parameters: 4 bins of 4096 codewords."""
+    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
+    i_main = main_mutual_info(MainChannel(np.eye(2)), pc)
+    bp = binning_params(i_main, math.log2(pc.p_prime), 8, 0.5, 0.25, "strong")
+    assert (bp.n_bins, bp.per_bin) == (4, 4096)
+    return bp, pc
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_and_main_decoder_stream_the_default_book():
+    rng = np.random.default_rng(11)
+    bp, pc = _default_n8_book()
+    cb, peak = _traced_peak(sample_codebook, bp, pc, rng)
+    # the candidates go in 1 MB chunks whose kept rows go straight into the
+    # book; a whole round with its squared view and kept-row copy is 10 MB
+    assert peak - cb.codewords.nbytes < 3e6
+    ch = MainChannel(np.eye(2))
+    y = main_observe(transmit(cb.codewords[rng.integers(cb.size, size=50)], rng), ch, rng)
+    _, peak = _traced_peak(ml_decode_main, y, ch, cb)
+    # the (16384, 34) image (4.5 MB), its 1 MB observation chunk and the
+    # 512 KB panel; transposed copies of the book and a (50, 16384)
+    # distance matrix took 16 MB
+    assert peak < 8e6
 
 
 def _reference_leakage_mi(cb, trace, samples, rng):
@@ -191,11 +259,7 @@ def test_leakage_mi_matches_per_bin_reference(seed, n_bins, per_bin, n, samples)
 
 
 def test_leakage_mi_memory_on_largest_default_book():
-    # the default simulate's n = 8 book: 4 bins of 4096 codewords
-    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    i_main = main_mutual_info(MainChannel(np.eye(2)), pc)
-    bp = binning_params(i_main, math.log2(pc.p_prime), 8, 0.5, 0.25, "strong")
-    assert (bp.n_bins, bp.per_bin) == (4, 4096)
+    bp, pc = _default_n8_book()
     rng = np.random.default_rng(5)
     cb = sample_codebook(bp, pc, rng)
     trace = EveTrace.random(1, 2, 8, rng)

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .channel import EveTrace, MainChannel, PowerConfig
-from .checks import default_verification_suite, noise_whiteness_check
 from .codebook import (
     ToyScaleError,
     binning_params,
@@ -61,6 +60,11 @@ EXIT_VERIFY_FAILED = 2
 EXIT_CAPPED = 3
 EXIT_INTERNAL = 4
 
+# Most points a `rate` power grid or a `region` alpha grid may hold.  `rate`
+# keeps about 540 bytes per point (a fresh process peaks near 570 MB at the
+# cap); a larger grid is refused (exit 3) before it is built.
+GRID_POINT_CAP = 2**20
+
 
 class ConfigError(ValueError):
     """Configuration file or parameter problem."""
@@ -85,11 +89,13 @@ _OPENBLAS_SYMBOLS = [
 ]
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple:
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_controls(module_count: int) -> tuple:
     """The (get, set) thread-count functions of every OpenBLAS loaded into
     this process, found by path in /proc/self/maps; empty where there is
-    none."""
+    none.  A library comes in with an extension-module import (scipy's own
+    OpenBLAS with the first ``scipy.special`` import), so the scan is keyed
+    by the number of loaded modules and reruns only when that changes."""
     import ctypes
 
     try:
@@ -118,7 +124,7 @@ def _one_blas_thread():
     """Run the block with every loaded OpenBLAS on one thread and give each
     its previous count back on the way out.  The GEMMs here are too thin for
     a second BLAS thread to pay."""
-    controls = _openblas_thread_controls()
+    controls = _openblas_thread_controls(len(sys.modules))
     before = [get() for get, _ in controls]
     for _, put in controls:
         put(1)
@@ -242,6 +248,7 @@ def _config_hash(cfg: dict) -> str:
 
 def _power_grid(value) -> np.ndarray:
     if isinstance(value, list):
+        _check_grid_size(len(value), "pbar_grid")
         grid = np.asarray(value, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ConfigError("pbar_grid must be a nonempty flat list of power budgets")
@@ -254,12 +261,18 @@ def _power_grid(value) -> np.ndarray:
             raise ConfigError(f"pbar_grid spacing must be 'log' or 'linear', not {spacing!r}")
         if num < 1:
             raise ConfigError(f"pbar_grid needs num >= 1 points, not {num}")
+        _check_grid_size(num, "pbar_grid")
         if spacing == "log":
             if start <= 0 or stop <= 0:
                 raise ConfigError("a log-spaced pbar_grid needs start and stop above 0")
             return np.logspace(math.log10(start), math.log10(stop), num)
         return np.linspace(start, stop, num)
     raise ConfigError("pbar_grid must be a list or {'start','stop','num','spacing'}")
+
+
+def _check_grid_size(points: int, key: str) -> None:
+    if points > GRID_POINT_CAP:
+        raise ToyScaleError(f"{key} has {points} points, over the cap of {GRID_POINT_CAP}")
 
 
 def _spawn_rngs(seed: int, count: int):
@@ -301,10 +314,10 @@ def cmd_region(cfg: dict, convention: str) -> tuple:
         n_eve = _count(_require(cfg, "n_eve"), "n_eve")
         if model == "mac":
             grid_cfg = cfg.get("alpha_grid", {})
+            num = _count(grid_cfg.get("num", 101), "alpha_grid num")
+            _check_grid_size(num, "alpha_grid")
             alphas = np.linspace(
-                float(grid_cfg.get("start", 0.01)),
-                float(grid_cfg.get("stop", 1.0)),
-                _count(grid_cfg.get("num", 101), "alpha_grid num"),
+                float(grid_cfg.get("start", 0.01)), float(grid_cfg.get("stop", 1.0)), num
             )
     if model == "mac":
         region = mac_region(ch1, ch2, pbar, n_eve, alphas, convention)
@@ -389,6 +402,10 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
 
 
 def cmd_verify(cfg: dict, seed: int) -> tuple:
+    # imported here, as only this command needs the battery (and the scipy
+    # functions it loads)
+    from .checks import default_verification_suite, noise_whiteness_check
+
     _known_keys(cfg, "budget", "inject_noncanonical")
     budget = cfg.get("budget", "standard")
     if budget not in ("light", "standard"):

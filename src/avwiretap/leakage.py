@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammaln, nbdtr, xlogy
 
 from .channel import EveTrace, PowerConfig, complex_normal, eve_observe, transmit
 from .codebook import (
@@ -72,6 +71,8 @@ def _density_chunks(trace: EveTrace, pc: PowerConfig, blocks: int, rng):
 
 def _poisson_terms(a, k: int) -> np.ndarray:
     """Poisson(r; a) = e^(-a) a^r / r! for r < k, along a new last axis."""
+    from scipy.special import gammaln, xlogy
+
     a = np.asarray(a, dtype=float)[..., None]
     r = np.arange(k)
     return np.exp(xlogy(r, a) - a - gammaln(r + 1.0))
@@ -107,6 +108,8 @@ def density_law_cdf(t, k: int) -> np.ndarray:
     """
     if not (k >= 1 and float(k).is_integer()):
         raise ValueError("gamma shape must be a positive integer")
+    from scipy.special import nbdtr
+
     k = int(k)
     t = np.asarray(t, dtype=float)
     upper = _poisson_terms(np.abs(t), k) @ nbdtr(k - 1 - np.arange(k), k, 0.5)
@@ -153,6 +156,8 @@ def _clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> 
         return 1.0
     if hits == 0:
         return 1.0 - (1.0 - confidence) ** (1.0 / trials)
+    from scipy.special import betaincinv
+
     return float(betaincinv(hits + 1, trials - hits, confidence))
 
 

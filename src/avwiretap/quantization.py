@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .channel import (
     DimensionError,
@@ -210,6 +209,8 @@ def truncation_mass(n: int, n_tx: int, p: float, eps_p: float) -> float:
         raise ValueError("code power must be positive")
     if not 0.0 <= eps_p < 1.0:
         raise ValueError("truncation margin must lie in [0, 1)")
+    from scipy.special import gammainc
+
     shape = n * n_tx
     return float(gammainc(shape, shape / (1.0 - eps_p)))
 

@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +340,104 @@ def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, capsys, raised, 
             put(original[path])
     assert seen == [{path: 1 for path in libs}]
     assert after == before
+
+
+def _fresh_interpreter(script: str, *args: str) -> str:
+    """Run ``script`` in a new interpreter importing the package from src/
+    and this directory's test modules; returns its stdout."""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_grid_commands_never_import_scipy(tmp_path):
+    # scipy is loaded in this test session, so the check needs its own process
+    configs = {
+        "rate": {"channel": {"identity": 2}, "n_eve": 1,
+                 "pbar_grid": {"start": 10, "stop": 1e4, "num": 50}},
+        "region": {"model": "mac", "channel1": {"identity": 2}, "channel2": {"diagonal": [2, 1]},
+                   "pbar": 100, "n_eve": 1, "alpha_grid": {"num": 40}},
+        "region-bc": {"model": "bc", "channel1": {"identity": 2}, "channel2": {"diagonal": [2, 1]},
+                      "pbar": 100, "n_eve": 1},
+        "schedule": {"eps_prime": 0.2, "n_values": [50, 100, 500],
+                     "perturbation": {"p": 10, "n_tx": 2, "n_eve": 1, "eps": 0.01}},
+    }
+    argvs = [
+        [name.partition("-")[0], "--config", _write_cfg(tmp_path, f"{name}.json", cfg),
+         "--out", str(tmp_path / f"{name}.csv")]
+        for name, cfg in configs.items()
+    ]
+    script = (
+        "import json, sys\n"
+        "import avwiretap, avwiretap.cli\n"
+        "codes = [avwiretap.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))\n"
+    )
+    codes, scipy_modules = json.loads(_fresh_interpreter(script, json.dumps(argvs)))
+    assert codes == [0] * len(argvs)
+    assert scipy_modules == []
+    assert all((tmp_path / f"{name}.csv").stat().st_size for name in configs)
+
+
+def test_blas_loaded_after_a_command_is_pinned_by_the_next(tmp_path):
+    # the first command runs before scipy (and its own OpenBLAS) is loaded;
+    # the command after the import must pin every OpenBLAS, that one included
+    cfg = _write_cfg(tmp_path, "rate.json",
+                     {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10]})
+    script = (
+        "import json, sys\n"
+        "from avwiretap import cli\n"
+        "from test_cli import _openblas_setters, _openblas_threads\n"
+        "argv = ['rate', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+        "assert cli.main(argv) == 0\n"
+        "import scipy.special\n"
+        "libs = _openblas_setters()\n"
+        "for _, put in libs.values():\n"
+        "    put(2)\n"
+        "seen, command = [], cli.cmd_rate\n"
+        "def spy(cfg, convention):\n"
+        "    seen.append(_openblas_threads(libs))\n"
+        "    return command(cfg, convention)\n"
+        "cli.cmd_rate = spy\n"
+        "assert cli.main(argv) == 0\n"
+        "print(json.dumps([len(libs), seen, _openblas_threads(libs)]))\n"
+    )
+    count, seen, after = json.loads(_fresh_interpreter(script, cfg, str(tmp_path / "out.csv")))
+    if not count:
+        pytest.skip("no OpenBLAS loaded")
+    assert [list(threads.values()) for threads in seen] == [[1] * count]
+    assert list(after.values()) == [2] * count
+
+
+# one point past cli.GRID_POINT_CAP
+_OVERSIZED = 2**20 + 1
+
+
+@pytest.mark.parametrize(
+    "command, payload, target",
+    [("rate", {"channel": {"identity": 2}, "n_eve": 1,
+               "pbar_grid": {"start": 10, "stop": 100, "num": _OVERSIZED}}, "secrecy_rate"),
+     ("rate", {"channel": {"identity": 2}, "n_eve": 1,
+               "pbar_grid": [10.0] * _OVERSIZED}, "secrecy_rate"),
+     ("region", {"model": "mac", "channel1": {"identity": 2}, "channel2": {"identity": 2},
+                 "pbar": 100, "n_eve": 1, "alpha_grid": {"num": _OVERSIZED}}, "mac_region")],
+    ids=["rate-num", "rate-list", "mac-region"],
+)
+def test_oversized_grid_refused_before_evaluation(tmp_path, capsys, monkeypatch, command, payload,
+                                                  target):
+    def no_evaluation(*args, **kwargs):
+        raise RuntimeError("evaluated an oversized grid")
+
+    monkeypatch.setattr(cli, target, no_evaluation)
+    code, out = _run(tmp_path, command, "--config", _write_cfg(tmp_path, "grid.json", payload))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refusing oversized run: ") and f"{_OVERSIZED} points" in err
+    assert not out.exists()
+    assert _OVERSIZED == cli.GRID_POINT_CAP + 1
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):

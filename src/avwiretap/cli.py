@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .channel import EveTrace, MainChannel, PowerConfig
 from .codebook import (
+    MODES,
     ToyScaleError,
     binning_params,
     check_toy_caps,
@@ -68,16 +69,6 @@ GRID_POINT_CAP = 2**20
 
 class ConfigError(ValueError):
     """Configuration file or parameter problem."""
-
-
-@contextmanager
-def _config_read():
-    """Report a missing key or a wrongly typed value met while reading the
-    config as a ConfigError; past the reading, such errors are bugs."""
-    try:
-        yield
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad config value: {exc!r}") from exc
 
 
 # Thread-count symbols of the scipy-openblas wheels (64- and 32-bit integer
@@ -221,58 +212,158 @@ def load_config(path) -> dict:
     return cfg
 
 
-def parse_matrix(value) -> np.ndarray:
-    """Channel matrix schema: identity / diagonal shorthand or explicit
-    row-major [re, im] entry pairs."""
-    if isinstance(value, dict) and "identity" in value:
-        return np.eye(int(value["identity"]), dtype=complex)
-    if isinstance(value, dict) and "diagonal" in value:
-        return np.diag([complex(v) for v in value["diagonal"]])
-    if isinstance(value, dict) and {"rows", "cols", "entries"} <= value.keys():
-        rows, cols = int(value["rows"]), int(value["cols"])
-        entries = value["entries"]
-        if len(entries) != rows * cols:
-            raise ConfigError(f"matrix needs {rows * cols} entries, got {len(entries)}")
-        flat = [complex(re, im) for re, im in entries]
-        return np.array(flat, dtype=complex).reshape(rows, cols)
-    raise ConfigError(
-        "matrix must be {'identity': k}, {'diagonal': [...]}, or "
-        "{'rows', 'cols', 'entries': [[re, im], ...]}"
-    )
-
-
 def _config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _power_grid(value) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# config reading
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _read(obj, where: str, **spec) -> list:
+    """The values of a config object's keys in ``spec`` order; ``spec`` maps
+    each key the object may hold to ``(read, default)``.  ``read(value,
+    name)`` returns the value or raises a ConfigError; a missing key gives
+    ``default`` as it is, or an error if that is ``REQUIRED``.  A non-object,
+    an unknown key, and a KeyError, TypeError or OverflowError in a reader
+    are ConfigErrors too.  ``where`` names a nested object ("" for the root)
+    and prefixes its keys' names."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, not {type(obj).__name__}")
+    unknown = ", ".join(map(repr, sorted(set(obj) - spec.keys())))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: {unknown}")
+    values = []
+    for key, (read, default) in spec.items():
+        name = f"{where}.{key}" if where else key
+        if key not in obj and default is REQUIRED:
+            raise ConfigError(f"missing required config key {name!r}")
+        try:
+            values.append(read(obj[key], name) if key in obj else default)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad value for config key {name!r}: {exc!r}") from exc
+    return values
+
+
+def _float(value, name: str) -> float:
+    """A finite JSON number (not a boolean or a string) as float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def _reals(value, name: str) -> np.ndarray:
+    """A nonempty flat JSON list of finite numbers as a float array."""
+    if isinstance(value, list) and value and set(map(type, value)) <= {int, float}:
+        values = np.array(value, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    raise ConfigError(f"{name} must be a nonempty flat list of finite numbers")
+
+
+def _pairs(value, name: str) -> np.ndarray:
+    """A nonempty JSON list of [re, im] pairs as a complex array."""
+    if isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value):
+        return _reals([x for pair in value for x in pair], name).view(complex)
+    raise ConfigError(f"{name} must be a list of [re, im] pairs")
+
+
+_COUNT_LIMIT = 2**53  # past it, floats stop being exact
+
+
+def _counts(values, name: str) -> list:
+    """A nonempty list of counts as ints: whole numbers up to 2^53 in
+    magnitude, such as 4 and 4.0, pass, but not 2.7, a boolean or a string.
+    A list of ints is returned as it is, after one min/max check."""
+    if not (isinstance(values, list) and values):
+        raise ConfigError(f"{name} must be a nonempty list of counts")
+    kinds = set(map(type, values))
+    if kinds <= {int} and -_COUNT_LIMIT <= min(values) and max(values) <= _COUNT_LIMIT:
+        return values
+    for v in values:
+        if type(v) not in (int, float) or not (abs(v) <= _COUNT_LIMIT and v == round(v)):
+            raise ConfigError(f"{name} must hold whole numbers up to 2^53 in magnitude, not {v!r}")
+    return [int(v) for v in values]
+
+
+def _count(value, name: str) -> int:
+    """One count-valued config entry as int (``_counts``)."""
+    return _counts([value], name)[0]
+
+
+def _choice(*options):
+    """A reader that takes one of ``options``, equal in value and type."""
+    def read(value, name):
+        if any(type(value) is type(o) and value == o for o in options):
+            return value
+        raise ConfigError(f"{name} must be one of {', '.join(map(repr, options))}, not {value!r}")
+    return read
+
+
+def parse_matrix(value, where: str = "matrix") -> np.ndarray:
+    """Channel matrix schema, in exactly one form: identity / diagonal
+    shorthand or explicit row-major [re, im] entry pairs."""
+    if isinstance(value, dict) and "identity" in value:
+        (k,) = _read(value, where, identity=(_count, REQUIRED))
+        return np.eye(k, dtype=complex)
+    if isinstance(value, dict) and "diagonal" in value:
+        (diagonal,) = _read(value, where, diagonal=(_reals, REQUIRED))
+        return np.diag(diagonal.astype(complex))
+    if isinstance(value, dict) and "entries" in value:
+        rows, cols, entries = _read(
+            value, where, rows=(_count, REQUIRED), cols=(_count, REQUIRED),
+            entries=(_pairs, REQUIRED),
+        )
+        if entries.size != rows * cols:
+            raise ConfigError(f"{where} needs {rows * cols} entries, got {entries.size}")
+        return entries.reshape(rows, cols)
+    raise ConfigError(f"{where} must be {{'identity': k}}, {{'diagonal': [...]}} or "
+                      "{'rows', 'cols', 'entries': [[re, im], ...]}")
+
+
+def _channel(value, name: str) -> MainChannel:
+    return MainChannel(parse_matrix(value, name))
+
+
+def _power_grid(value, name: str) -> np.ndarray:
     if isinstance(value, list):
-        _check_grid_size(len(value), "pbar_grid")
-        grid = np.asarray(value, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ConfigError("pbar_grid must be a nonempty flat list of power budgets")
-        return grid
-    if isinstance(value, dict):
-        num = _count(value.get("num", 20), "pbar_grid num")
-        start, stop = float(value["start"]), float(value["stop"])
-        spacing = value.get("spacing", "log")
-        if spacing not in ("log", "linear"):
-            raise ConfigError(f"pbar_grid spacing must be 'log' or 'linear', not {spacing!r}")
-        if num < 1:
-            raise ConfigError(f"pbar_grid needs num >= 1 points, not {num}")
-        _check_grid_size(num, "pbar_grid")
-        if spacing == "log":
-            if start <= 0 or stop <= 0:
-                raise ConfigError("a log-spaced pbar_grid needs start and stop above 0")
-            return np.logspace(math.log10(start), math.log10(stop), num)
+        _check_grid_size(len(value), name)
+        return _reals(value, name)
+    start, stop, num, spacing = _read(
+        value, name, start=(_float, REQUIRED), stop=(_float, REQUIRED), num=(_count, 20),
+        spacing=(_choice("log", "linear"), "log"),
+    )
+    if num < 1:
+        raise ConfigError(f"{name} needs num >= 1 points, not {num}")
+    _check_grid_size(num, name)
+    if spacing == "linear":
         return np.linspace(start, stop, num)
-    raise ConfigError("pbar_grid must be a list or {'start','stop','num','spacing'}")
+    if start <= 0 or stop <= 0:
+        raise ConfigError(f"a log-spaced {name} needs start and stop above 0")
+    return np.logspace(math.log10(start), math.log10(stop), num)
 
 
-def _check_grid_size(points: int, key: str) -> None:
+def _alpha_grid(value, name: str) -> np.ndarray:
+    start, stop, num = _read(
+        value, name, start=(_float, 0.01), stop=(_float, 1.0), num=(_count, 101)
+    )
+    _check_grid_size(num, name)
+    return np.linspace(start, stop, num)
+
+
+def _perturbation(value, name: str) -> tuple:
+    return tuple(_read(
+        value, name, p=(_float, REQUIRED), n_tx=(_count, REQUIRED), n_eve=(_count, REQUIRED),
+        eps=(_float, REQUIRED),
+    ))
+
+
+def _check_grid_size(points: int, name: str) -> None:
     if points > GRID_POINT_CAP:
-        raise ToyScaleError(f"{key} has {points} points, over the cap of {GRID_POINT_CAP}")
+        raise ToyScaleError(f"{name} has {points} points, over the cap of {GRID_POINT_CAP}")
 
 
 def _spawn_rngs(seed: int, count: int):
@@ -284,12 +375,10 @@ def _spawn_rngs(seed: int, count: int):
 
 
 def cmd_rate(cfg: dict, convention: str) -> tuple:
-    _known_keys(cfg, "channel", "n_eve", "eps_p", "pbar_grid")
-    with _config_read():
-        ch = MainChannel(parse_matrix(_require(cfg, "channel")))
-        n_eve = _count(_require(cfg, "n_eve"), "n_eve")
-        eps_p = float(cfg.get("eps_p", 0.0))
-        grid = _power_grid(_require(cfg, "pbar_grid"))
+    ch, n_eve, eps_p, grid = _read(
+        cfg, "", channel=(_channel, REQUIRED), n_eve=(_count, REQUIRED), eps_p=(_float, 0.0),
+        pbar_grid=(_power_grid, REQUIRED),
+    )
     pc = PowerConfig(pbar=grid, eps_p=eps_p, n_tx=ch.n_modes)
     res = secrecy_rate(ch, pc, n_eve, convention)
     header = ["pbar", "p", "main_mi", "leakage_cap", "secrecy_rate", "converse_bound"]
@@ -300,27 +389,15 @@ def cmd_rate(cfg: dict, convention: str) -> tuple:
 
 
 def cmd_region(cfg: dict, convention: str) -> tuple:
-    with _config_read():
-        model = _require(cfg, "model")
-        if model not in ("mac", "bc"):
-            raise ConfigError("model must be 'mac' or 'bc'")
-        _known_keys(
-            cfg, "model", "channel1", "channel2", "pbar", "n_eve",
-            *(["alpha_grid"] if model == "mac" else []),
-        )
-        ch1 = MainChannel(parse_matrix(_require(cfg, "channel1")))
-        ch2 = MainChannel(parse_matrix(_require(cfg, "channel2")))
-        pbar = float(_require(cfg, "pbar"))
-        n_eve = _count(_require(cfg, "n_eve"), "n_eve")
-        if model == "mac":
-            grid_cfg = cfg.get("alpha_grid", {})
-            num = _count(grid_cfg.get("num", 101), "alpha_grid num")
-            _check_grid_size(num, "alpha_grid")
-            alphas = np.linspace(
-                float(grid_cfg.get("start", 0.01)), float(grid_cfg.get("stop", 1.0)), num
-            )
+    # alpha_grid belongs to the multi-access model only
+    mac = cfg.get("model") != "bc"
+    model, ch1, ch2, pbar, n_eve, *alphas = _read(
+        cfg, "", model=(_choice("mac", "bc"), REQUIRED), channel1=(_channel, REQUIRED),
+        channel2=(_channel, REQUIRED), pbar=(_float, REQUIRED), n_eve=(_count, REQUIRED),
+        **({"alpha_grid": (_alpha_grid, _alpha_grid({}, "alpha_grid"))} if mac else {}),
+    )
     if model == "mac":
-        region = mac_region(ch1, ch2, pbar, n_eve, alphas, convention)
+        region = mac_region(ch1, ch2, pbar, n_eve, *alphas, convention)
     else:
         region = bc_region(ch1, ch2, pbar, n_eve, convention)
     return ["r1", "r2", "hull"], [
@@ -330,34 +407,23 @@ def cmd_region(cfg: dict, convention: str) -> tuple:
 
 
 def cmd_simulate(cfg: dict, seed: int) -> tuple:
-    _known_keys(
-        cfg, "pbar", "eps_p", "n_tx", "n_eve", "n_values", "delta_n",
-        "delta_prime", "mode", "distance_samples", "mi_samples",
-        "error_trials", "codebooks", "w_subset", "channel",
+    (pbar, eps_p, n_tx, n_eve, n_values, delta_n, delta_prime, mode, distance_samples,
+     mi_samples, error_trials, books, w_count, ch) = _read(
+        cfg, "", pbar=(_float, 6.0), eps_p=(_float, 0.5), n_tx=(_count, 2), n_eve=(_count, 1),
+        n_values=(_counts, [2, 4, 8]), delta_n=(_float, 0.5), delta_prime=(_float, 0.25),
+        mode=(_choice(*MODES), "strong"), distance_samples=(_count, 1_000),
+        mi_samples=(_count, 1_000), error_trials=(_count, 200), codebooks=(_count, 4),
+        w_subset=(_count, 4), channel=(_channel, None),
     )
-    with _config_read():
-        pbar = float(cfg.get("pbar", 6.0))
-        eps_p = float(cfg.get("eps_p", 0.5))
-        n_tx = _count(cfg.get("n_tx", 2), "n_tx")
-        n_eve = _count(cfg.get("n_eve", 1), "n_eve")
-        n_values = _n_values(cfg, [2, 4, 8])
-        delta_n = float(cfg.get("delta_n", 0.5))
-        delta_prime = float(cfg.get("delta_prime", 0.25))
-        mode = cfg.get("mode", "strong")
-        distance_samples = _count(cfg.get("distance_samples", 1_000), "distance_samples")
-        mi_samples = _count(cfg.get("mi_samples", 1_000), "mi_samples")
-        error_trials = _count(cfg.get("error_trials", 200), "error_trials")
-        books = _count(cfg.get("codebooks", 4), "codebooks")
-        if distance_samples < 2 or mi_samples < 2 or error_trials < 1:
-            raise ConfigError("Monte Carlo budgets must be positive")
-        if books < 2:
-            raise ConfigError("need at least two codebooks per blocklength")
-        w_count = _count(cfg.get("w_subset", 4), "w_subset")
-        if w_count < 1:
-            raise ConfigError("w_subset must be at least 1")
-        ch = MainChannel(parse_matrix(cfg.get("channel", {"identity": n_tx})))
-        if ch.n_tx != n_tx:
-            raise ConfigError(f"channel has {ch.n_tx} transmit antennas but n_tx is {n_tx}")
+    if distance_samples < 2 or mi_samples < 2 or error_trials < 1:
+        raise ConfigError("Monte Carlo budgets must be positive")
+    if books < 2:
+        raise ConfigError("need at least two codebooks per blocklength")
+    if w_count < 1:
+        raise ConfigError("w_subset must be at least 1")
+    ch = ch or _channel({"identity": n_tx}, "channel")
+    if ch.n_tx != n_tx:
+        raise ConfigError(f"channel has {ch.n_tx} transmit antennas but n_tx is {n_tx}")
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)
     i_main = main_mutual_info(ch, pc)
     i_eve = n_eve * math.log2(pc.p_prime)
@@ -406,13 +472,10 @@ def cmd_verify(cfg: dict, seed: int) -> tuple:
     # functions it loads)
     from .checks import default_verification_suite, noise_whiteness_check
 
-    _known_keys(cfg, "budget", "inject_noncanonical")
-    budget = cfg.get("budget", "standard")
-    if budget not in ("light", "standard"):
-        raise ConfigError("budget must be 'light' or 'standard'")
-    inject = cfg.get("inject_noncanonical", False)
-    if not isinstance(inject, bool):
-        raise ConfigError("inject_noncanonical must be true or false")
+    budget, inject = _read(
+        cfg, "", budget=(_choice("light", "standard"), "standard"),
+        inject_noncanonical=(_choice(True, False), False),
+    )
     rngs = iter(_spawn_rngs(seed, 32))
     results = default_verification_suite(rngs, budget)
     if inject:
@@ -429,27 +492,11 @@ def cmd_verify(cfg: dict, seed: int) -> tuple:
 
 
 def cmd_schedule(cfg: dict) -> tuple:
-    _known_keys(
-        cfg, "eps_prime", "n_values", "c_prime", "alpha_eps", "alpha_eps_p",
-        "error_exponent", "r0", "perturbation",
+    eps_prime, n_values, c_prime, alpha_eps, alpha_eps_p, error_exponent, r0, pert = _read(
+        cfg, "", eps_prime=(_float, REQUIRED), n_values=(_counts, [1000]),
+        c_prime=(_float, 0.05), alpha_eps=(_float, 0.05), alpha_eps_p=(_float, 0.05),
+        error_exponent=(_float, 0.5), r0=(_float, 1.0), perturbation=(_perturbation, None),
     )
-    with _config_read():
-        eps_prime = float(_require(cfg, "eps_prime"))
-        n_values = _n_values(cfg, [1000])
-        c_prime = float(cfg.get("c_prime", 0.05))
-        alpha_eps = float(cfg.get("alpha_eps", 0.05))
-        alpha_eps_p = float(cfg.get("alpha_eps_p", 0.05))
-        error_exponent = float(cfg.get("error_exponent", 0.5))
-        r0 = float(cfg.get("r0", 1.0))
-        pert_cfg = cfg.get("perturbation")
-        pert = None
-        if pert_cfg is not None:
-            pert = (
-                float(pert_cfg["p"]),
-                _count(pert_cfg["n_tx"], "perturbation n_tx"),
-                _count(pert_cfg["n_eve"], "perturbation n_eve"),
-                float(pert_cfg["eps"]),
-            )
     overhead, stage2 = two_stage_overhead(eps_prime, r0)
     header = [
         "n", "eps_n", "log_k", "log_m", "distance_exponent_ok",
@@ -467,55 +514,6 @@ def cmd_schedule(cfg: dict) -> tuple:
         "" if sp.min_feasible_n is None else sp.min_feasible_n,
         overhead, stage2,
     ]]
-
-
-def _n_values(cfg: dict, default: list) -> list:
-    n_values = cfg.get("n_values", default)
-    if not (isinstance(n_values, list) and n_values):
-        raise ConfigError("n_values must be a nonempty list of blocklengths")
-    return _counts(n_values, "n_values")
-
-
-_COUNT_TYPES = (int, float, np.integer, np.floating)
-
-
-def _counts(values: list, key: str) -> list:
-    """A list of count-valued config entries as ints: integral numbers such
-    as 4 and 4.0 pass; 2.7, a boolean, a string or a float past 2^53 (where
-    floats stop being exact) is a ConfigError.  A list of ints is returned
-    as it is, with no new int objects; any other is checked as one array."""
-    kinds = set(map(type, values))
-    if kinds <= {int}:
-        return values
-    bad = [k for k in kinds if not issubclass(k, _COUNT_TYPES) or issubclass(k, _FLAG_TYPES)]
-    if not bad:
-        arr = np.asarray(values, dtype=float)
-        ok = (np.abs(arr) <= 2.0**53) & (arr == np.round(arr))
-        if ok.all():
-            return arr.astype(np.int64).tolist()
-        bad_value = values[int(np.argmin(ok))]
-    else:
-        bad_value = next(v for v in values if type(v) in bad)
-    raise ConfigError(f"{key} must hold whole numbers, not {bad_value!r}")
-
-
-def _count(value, key: str) -> int:
-    """One count-valued config entry as int (``_counts``)."""
-    return _counts([value], key)[0]
-
-
-def _known_keys(cfg: dict, *keys: str) -> None:
-    """Refuse every top-level config key that the command does not read, so
-    a mistyped key is an error rather than a silent default."""
-    unknown = sorted(set(cfg) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-
-
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required config key {key!r}")
-    return cfg[key]
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class Codebook:
     per_bin: int
     mode: str
     pc: PowerConfig
-    # (trace, image of the whole book, bins filled so far)
+    # (trace, image of the whole book)
     _eve: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,25 +191,15 @@ class Codebook:
         """The ``_image`` of the eavesdropper's clean observations of bin i
         through the trace, or of the whole book when i is None.
 
-        The book keeps one image, for the last trace it was observed
-        through (an ``EveTrace`` is immutable, so it is keyed by identity),
-        and fills it bin by bin as bins are asked for: each codeword goes
-        through ``eve_observe`` once per trace."""
-        if self._eve is None or self._eve[0] is not trace:
-            width = 2 * trace.n_eve * self.n + 2
-            memo = (trace, np.empty((self.size, width)), np.zeros(self.n_bins, dtype=bool))
-            object.__setattr__(self, "_eve", memo)
-        _, image, filled = self._eve
+        The book keeps the whole-book image for the last trace it was
+        observed through (an ``EveTrace`` is immutable, so it is keyed by
+        identity) and builds it on the first request for that trace: each
+        codeword goes through ``eve_observe`` once per trace."""
         rows = slice(None) if i is None else self._bin_rows(i)
-        todo = np.arange(self.n_bins) if i is None else np.array([i])
-        todo = todo[~filled[todo]]
-        # one build per run of consecutive missing bins
-        for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
-            if run.size:
-                part = slice(run[0] * self.per_bin, (run[-1] + 1) * self.per_bin)
-                _book_image(self.codewords[part], lambda c: eve_observe(c, trace), image[part])
-                filled[run] = True
-        return image[rows]
+        if self._eve is None or self._eve[0] is not trace:
+            image = _book_image(self.codewords, lambda c: eve_observe(c, trace))
+            object.__setattr__(self, "_eve", (trace, image))
+        return self._eve[1][rows]
 
 
 def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:

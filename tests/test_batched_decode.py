@@ -209,18 +209,6 @@ def test_eve_image_observes_each_codeword_once_per_trace(monkeypatch):
     assert np.array_equal(cb.eve_image(other), full)
 
 
-def test_distance_on_one_bin_builds_only_that_bin(monkeypatch):
-    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=2, rate_bits=1.0, n_bins=300, per_bin=3, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
-    rng = np.random.default_rng(9)
-    cb = sample_codebook(bp, pc, rng)
-    trace = EveTrace.random(1, 2, 2, rng)
-    seen = _observed_rows(monkeypatch, cb)
-    estimate_variational_distance(cb, trace, [7], 10, rng)
-    assert seen == [(21, 24)]
-
-
 def test_codewords_read_only_and_bins_checked(rng):
     cb = _book(rng, 2, 3, 2, 2, duplicate=False)
     assert not cb.codewords.flags.writeable

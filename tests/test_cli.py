@@ -494,7 +494,15 @@ def test_empty_n_values_and_non_boolean_control_are_config_errors(tmp_path, caps
                  "pbar": 10.0, "n_eve": 1, "alpha_grid": {"num": 5}}, "alpha_grid"),
      ("simulate", {"n_value": [2]}, "n_value"),
      ("verify", {"budget": "light", "inject_noncanonicl": True}, "inject_noncanonicl"),
-     ("schedule", {"eps_prime": 0.05, "c_prim": 0.1}, "c_prim")],
+     ("schedule", {"eps_prime": 0.05, "c_prim": 0.1}, "c_prim"),
+     # nested objects refuse unknown keys too
+     ("rate", {"channel": {"identity": 2}, "n_eve": 1,
+               "pbar_grid": {"start": 10, "stop": 100, "nmu": 3}}, "nmu"),
+     ("rate", {"channel": {"identity": 2, "scale": 2.0}, "n_eve": 1, "pbar_grid": [10.0]}, "scale"),
+     ("region", {"model": "mac", "channel1": {"identity": 2}, "channel2": {"identity": 2},
+                 "pbar": 10.0, "n_eve": 1, "alpha_grid": {"strat": 0.1}}, "strat"),
+     ("schedule", {"eps_prime": 0.05,
+                   "perturbation": {"p": 4.0, "n_tx": 2, "n_eve": 1, "eps": 0.01, "m": 3}}, "m")],
 )
 def test_unknown_config_keys_are_config_errors(tmp_path, capsys, command, payload, key):
     cfg = _write_cfg(tmp_path, "cfg.json", payload)
@@ -575,7 +583,13 @@ _SIMULATE = {"n_values": [2], "codebooks": 2, "error_trials": 4, "distance_sampl
      ("schedule", {**_SCHEDULE, "perturbation": {"p": 4.0, "n_tx": 2.5, "n_eve": 1, "eps": 0.01}},
       "n_tx"),
      ("schedule", {**_SCHEDULE, "perturbation": {"p": 4.0, "n_tx": 2, "n_eve": False, "eps": 0.01}},
-      "n_eve")],
+      "n_eve"),
+     ("rate", {**_RATE, "channel": {"identity": 2.7}}, "identity"),
+     ("rate", {**_RATE, "channel": {"rows": 2.5, "cols": 2,
+                                    "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}}, "rows"),
+     # a count past 2^53 (here 401 digits) is refused, also in a list of ints
+     ("rate", {**_RATE, "n_eve": 10**400}, "n_eve"),
+     ("schedule", {**_SCHEDULE, "n_values": [1000, 10**400]}, "n_values")],
 )
 def test_count_config_values_must_be_whole_numbers(tmp_path, capsys, command, payload, key):
     # 4 and 4.0 are counts; 2.7, a boolean or a string is a config error
@@ -587,6 +601,39 @@ def test_count_config_values_must_be_whole_numbers(tmp_path, capsys, command, pa
     else:
         assert code == 1 and not out.exists()
         assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
+
+
+_MAC_JSON = '"model": "mac", "channel1": {"identity": 2}, "channel2": {"identity": 2}, "n_eve": 1'
+_RATE_JSON = '"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10]'
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [("schedule", '{"eps_prime": NaN, "n_values": [10, 20]}', "eps_prime"),
+     ("schedule", '{"eps_prime": Infinity}', "eps_prime"),
+     ("schedule", '{"eps_prime": 0.05, "r0": NaN}', "r0"),
+     # 401 digits: an integer overflows a float, a float parses as inf
+     ("schedule", '{"eps_prime": 1%s.0}' % ("0" * 400), "eps_prime"),
+     ("region", '{%s, "pbar": 1%s}' % (_MAC_JSON, "0" * 400), "pbar"),
+     ("simulate", '{"pbar": "6"}', "pbar"),
+     ("region", '{%s, "pbar": true}' % _MAC_JSON, "pbar"),
+     ("rate", '{%s, "eps_p": "0.1"}' % _RATE_JSON, "eps_p"),
+     ("region", '{%s, "pbar": 10, "alpha_grid": [0.1, 0.5]}' % _MAC_JSON, "alpha_grid"),
+     ("region", '{%s, "pbar": 10, "alpha_grid": "x"}' % _MAC_JSON, "alpha_grid"),
+     # a matrix takes exactly one form
+     ("rate", '{"channel": {"identity": 2, "diagonal": [5, 1]}, "n_eve": 1, "pbar_grid": [10]}',
+      "diagonal")],
+    ids=["nan", "infinity", "nan-r0", "401-digit-float", "401-digit-int", "string", "boolean",
+         "string-eps_p", "list-alpha_grid", "string-alpha_grid", "two-form-matrix"],
+)
+def test_bad_numbers_grids_and_matrices_are_config_errors(tmp_path, capsys, command, text, key):
+    # a number must be a finite JSON number, a grid an object, a matrix one form
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out = _run(tmp_path, command, "--config", str(cfg), "--seed", "5")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
 
 
 def test_schedule_command_values(tmp_path):

@@ -65,6 +65,10 @@ EXIT_INTERNAL = 4
 # keeps about 540 bytes per point (a fresh process peaks near 570 MB at the
 # cap); a larger grid is refused (exit 3) before it is built.
 GRID_POINT_CAP = 2**20
+# Most entries (rows x cols) a channel matrix may hold, refused (exit 3) from
+# its counts before it is built; the SVD of one at the cap (1024 x 1024)
+# takes about 0.4 s.
+MATRIX_ENTRY_CAP = 2**20
 
 
 class ConfigError(ValueError):
@@ -132,7 +136,9 @@ def write_table(fh, metadata: dict, header: list, blocks) -> None:
     A block holds one entry per column: an equally long array or list, or
     one value that fills its column on every row of the block.  Each block
     is written with one %-format string, in which a fill value stands
-    formatted once by ``_format_cell``."""
+    formatted once by ``_format_cell``.  An array column of floats, integers
+    or flags takes its format from its dtype; any other column's format
+    comes from a scan of its cells (``_column_format``)."""
     for key in sorted(metadata):
         fh.write(f"# {key}={metadata[key]}\n")
     fh.write(",".join(map(_format_cell, header)) + "\n")
@@ -141,10 +147,14 @@ def write_table(fh, metadata: dict, header: list, blocks) -> None:
             raise ValueError("row width does not match the header")
         formats, columns = [], []
         for cells in block:
+            fmt = None
             if isinstance(cells, np.ndarray):
+                if cells.ndim == 1:
+                    fmt = _DTYPE_FORMATS.get(cells.dtype.kind)
                 cells = cells.tolist()
             if isinstance(cells, list):
-                fmt, cells = _column_format(cells)
+                if fmt is None:
+                    fmt, cells = _column_format(cells)
                 columns.append(cells)
             else:
                 fmt = _format_cell(cells).replace("%", "%%")
@@ -157,6 +167,8 @@ def write_table(fh, metadata: dict, header: list, blocks) -> None:
 
 _FLAG_TYPES = (bool, np.bool_)
 _FLOAT_TYPES = (float, np.floating)
+# the _column_format of an array column by its dtype kind
+_DTYPE_FORMATS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d"}
 
 
 def _column_format(cells) -> tuple:
@@ -305,18 +317,22 @@ def _choice(*options):
 
 def parse_matrix(value, where: str = "matrix") -> np.ndarray:
     """Channel matrix schema, in exactly one form: identity / diagonal
-    shorthand or explicit row-major [re, im] entry pairs."""
+    shorthand or explicit row-major [re, im] entry pairs.  A matrix of more
+    than ``MATRIX_ENTRY_CAP`` entries is refused (ToyScaleError)."""
     if isinstance(value, dict) and "identity" in value:
         (k,) = _read(value, where, identity=(_count, REQUIRED))
+        _check_matrix_size(k, k, where)
         return np.eye(k, dtype=complex)
     if isinstance(value, dict) and "diagonal" in value:
         (diagonal,) = _read(value, where, diagonal=(_reals, REQUIRED))
+        _check_matrix_size(diagonal.size, diagonal.size, where)
         return np.diag(diagonal.astype(complex))
     if isinstance(value, dict) and "entries" in value:
         rows, cols, entries = _read(
             value, where, rows=(_count, REQUIRED), cols=(_count, REQUIRED),
             entries=(_pairs, REQUIRED),
         )
+        _check_matrix_size(rows, cols, where)
         if entries.size != rows * cols:
             raise ConfigError(f"{where} needs {rows * cols} entries, got {entries.size}")
         return entries.reshape(rows, cols)
@@ -364,6 +380,13 @@ def _perturbation(value, name: str) -> tuple:
 def _check_grid_size(points: int, name: str) -> None:
     if points > GRID_POINT_CAP:
         raise ToyScaleError(f"{name} has {points} points, over the cap of {GRID_POINT_CAP}")
+
+
+def _check_matrix_size(rows: int, cols: int, where: str) -> None:
+    if rows > 0 and cols > 0 and rows * cols > MATRIX_ENTRY_CAP:
+        raise ToyScaleError(
+            f"{where} has {rows} x {cols} entries, over the cap of {MATRIX_ENTRY_CAP}"
+        )
 
 
 def _spawn_rngs(seed: int, count: int):
@@ -532,7 +555,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the life of
+    the process: ``parse_args`` leaves it as it was."""
     parser = _Parser(
         prog="avwiretap",
         description="secrecy-rate analysis and toy coding experiments for "

@@ -418,8 +418,11 @@ def ml_decode_main(y, ch: MainChannel, cb: Codebook):
     chol = np.linalg.cholesky(effective_noise_cov(ch))
     whiten = np.linalg.inv(chol)
     whitened_h = whiten @ ch.h
-    image = _book_image(cb.codewords, lambda c: np.einsum("rt,ktn->krn", whitened_h, c))
-    k = _nearest((whiten @ y).reshape(-1, ch.n_rx * cb.n), image).reshape(y.shape[:-2])
+    # the image in use-major (n, n_rx) order, one zgemm per chunk, and the
+    # whitened observations flattened in the same order
+    image = _book_image(cb.codewords, lambda c: np.tensordot(c, whitened_h, axes=([1], [1])))
+    z_flat = (whiten @ y).swapaxes(-1, -2).reshape(-1, ch.n_rx * cb.n)
+    k = _nearest(z_flat, image).reshape(y.shape[:-2])
     return divmod(int(k), cb.per_bin) if y.ndim == 2 else np.divmod(k, cb.per_bin)
 
 

@@ -174,27 +174,34 @@ def convex_hull_2d(points) -> np.ndarray:
     closure = np.vstack(
         [pts, [[lo[0], 0.0], [hi[0], 0.0], [0.0, lo[1]], [0.0, hi[1]], [0.0, 0.0]]]
     )
-    cand = np.unique(closure, axis=0)  # lexicographic sort
+    if np.signbit(closure[closure == 0]).any():
+        # which of two rows equal but for the sign of a zero is kept is
+        # np.unique's (unstable) choice; keep making it
+        cand = np.unique(closure, axis=0)
+    else:
+        # lexicographic sort, then drop each row equal to the one before
+        cand = closure[np.lexsort((closure[:, 1], closure[:, 0]))]
+        cand = cand[np.r_[True, (cand[1:] != cand[:-1]).any(axis=1)]]
     if len(cand) == 1:
         return cand
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def chain(points) -> list:
+        # the monotone chain walks Python floats: indexing numpy rows point
+        # by point costs more than the arithmetic, and so does a call per
+        # cross product; a NaN cross product pops nothing
+        hull: list = []
+        for x, y in points:
+            while len(hull) > 1:
+                o, a = hull[-2], hull[-1]
+                if (a[0] - o[0]) * (y - o[1]) - (a[1] - o[1]) * (x - o[0]) <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append((x, y))
+        return hull
 
-    # the monotone chain walks Python floats: indexing numpy rows point by
-    # point costs more than the arithmetic
     cand = cand.tolist()
-    lower: list = []
-    for p in cand:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(cand):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    return np.array(chain(cand)[:-1] + chain(reversed(cand))[:-1])
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avwiretap import cli, codebook
 from avwiretap.cli import (
@@ -789,3 +792,101 @@ def test_bad_power_grid_is_a_config_error(tmp_path, capsys, grid, message):
     assert not out.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+_FRESH_MAIN = "import sys; from avwiretap.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # each call's exit code, stderr and CSV bytes are those of the same call
+    # in a new interpreter, whatever the calls before it in this one asked for
+    for name in ("SEED", "CONVENTION", "OUT"):
+        monkeypatch.delenv(cli.ENV_PREFIX + name, raising=False)
+    sim = _write_cfg(tmp_path, "sim.json", {"n_values": [2], "distance_samples": 20,
+                                            "mi_samples": 20, "error_trials": 8, "codebooks": 2})
+    rate = _write_cfg(tmp_path, "rate.json", {"channel": {"diagonal": [2.0, 1.0]}, "n_eve": 1,
+                                              "pbar_grid": {"start": 10, "stop": 1e4, "num": 30}})
+    mac = _write_cfg(tmp_path, "mac.json", {"model": "mac", "channel1": {"identity": 2},
+                                            "channel2": {"diagonal": [3.0, 0.5]}, "pbar": 100.0,
+                                            "n_eve": 1, "alpha_grid": {"num": 300}})
+    calls = [
+        ["simulate", "--config", sim, "--seed", "5"],
+        ["simulate", "--config", sim],
+        ["rate", "--config", rate, "--convention", "half"],
+        ["rate", "--config", rate],
+        ["region", "--config", mac, "--bogus"],
+        ["region", "--config", mac],
+    ]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    codes = []
+    for i, argv in enumerate(calls):
+        warm_out, fresh_out = tmp_path / f"warm{i}.csv", tmp_path / f"fresh{i}.csv"
+        warm_code = main([*argv, "--out", str(warm_out)])
+        codes.append(warm_code)
+        warm_err = capsys.readouterr().err
+        fresh = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv, "--out", str(fresh_out)],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert (warm_code, warm_err) == (fresh.returncode, fresh.stderr), argv
+        assert warm_out.exists() == fresh_out.exists(), argv
+        if warm_out.exists():
+            assert warm_out.read_bytes() == fresh_out.read_bytes(), argv
+    assert codes == [0, 1, 0, 0, 1, 0]
+
+
+def _table_bytes(blocks) -> str:
+    out = io.StringIO()
+    write_table(out, {"seed": "1"}, ["f", "f32", "i", "u", "b", "fill"], blocks)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(width=32, allow_nan=True, allow_infinity=True),
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+), max_size=30))
+def test_array_columns_write_as_their_lists(rows):
+    f, f32, i, u, b = (list(c) for c in zip(*rows)) if rows else ([],) * 5
+    arrays = [np.array(f, dtype=float), np.array(f32, dtype=np.float32),
+              np.array(i, dtype=np.int64), np.array(u, dtype=np.uint64), np.array(b, dtype=bool)]
+    # a non-empty block, an empty one, and a block of special floats
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 1 / 3])
+    special_block = [specials, specials.astype(np.float32), np.arange(6),
+                     np.arange(6, dtype=np.uint8), specials > 0, 2.5]
+    empty_block = [np.array([]), np.array([], dtype=np.float32), np.array([], dtype=int),
+                   np.array([], dtype=np.uint8), np.array([], dtype=bool), "x"]
+    blocks = [[*arrays, 7], empty_block, special_block]
+    as_lists = [[c.tolist() if isinstance(c, np.ndarray) else c for c in block] for block in blocks]
+    assert _table_bytes(blocks) == _table_bytes(as_lists)
+
+
+@pytest.mark.parametrize("matrix", [
+    {"identity": 33554432},
+    {"diagonal": [1.0] * 1025},
+    {"rows": 1025, "cols": 1024, "entries": [[1.0, 0.0]]},
+])
+def test_oversized_channel_matrix_refused_from_its_counts(tmp_path, capsys, matrix):
+    cfg = _write_cfg(tmp_path, "rate.json", {"channel": matrix, "n_eve": 1, "pbar_grid": [10]})
+    start = time.perf_counter()
+    code, out = _run(tmp_path, "rate", "--config", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("refusing oversized run: channel has")
+
+
+def test_channel_matrix_at_the_cap_is_accepted(tmp_path):
+    assert parse_matrix({"diagonal": [1.0] * 1024}).shape == (1024, 1024)
+    cfg = _write_cfg(tmp_path, "rate.json", {"channel": {"identity": 1024}, "n_eve": 1,
+                                             "pbar_grid": [10]})
+    code, out = _run(tmp_path, "rate", "--config", cfg)
+    assert code == 0
+    _, header, rows = read_table(out)
+    assert len(rows) == 1 and float(rows[0][header.index("converse_bound")]) > 0

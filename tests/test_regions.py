@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from avwiretap.channel import MainChannel, random_full_rank_channel
@@ -207,3 +209,71 @@ def test_region_half_convention_scaling():
     full = mac_region(ch1, ch2, 102.0, 1, alpha_grid=[0.25, 0.5, 0.75])
     half = mac_region(ch1, ch2, 102.0, 1, alpha_grid=[0.25, 0.5, 0.75], convention="half")
     assert np.allclose(half.raw_points, 0.5 * full.raw_points)
+
+
+def _hull_by_np_unique(points) -> np.ndarray:
+    """The monotone chain as it stood before the sort moved to np.lexsort:
+    np.unique(axis=0) sorts and dedupes, and a cross() call per step."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    closure = np.vstack(
+        [pts, [[lo[0], 0.0], [hi[0], 0.0], [0.0, lo[1]], [0.0, hi[1]], [0.0, 0.0]]]
+    )
+    cand = np.unique(closure, axis=0)
+    if len(cand) == 1:
+        return cand
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    cand = cand.tolist()
+    lower: list = []
+    for p in cand:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(cand):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _assert_same_hull(points):
+    mine, ref = convex_hull_2d(points), _hull_by_np_unique(points)
+    assert np.array_equal(mine, ref)
+    # bit for bit, so the sign of every zero matches too
+    assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
+# few values, so draws repeat points and lay collinear runs on both axes;
+# -0.0 next to 0.0, and magnitudes whose cross products overflow to nan
+_GRID_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+_WIDE_VALUES = st.sampled_from([-1e300, -1.0, -0.0, 0.0, 1.0, 1e200, 1e300])
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.tuples(_GRID_VALUES, _GRID_VALUES), min_size=1, max_size=40),
+    st.lists(st.tuples(_WIDE_VALUES, _WIDE_VALUES), min_size=1, max_size=12),
+    st.lists(st.tuples(_FLOATS, _FLOATS), min_size=1, max_size=40),
+))
+def test_hull_matches_np_unique_chain(points):
+    _assert_same_hull(points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.floats(0.5, 3.0), min_size=2, max_size=4),
+    st.lists(st.floats(0.5, 3.0), min_size=2, max_size=4),
+    st.floats(10.0, 1e4),
+    st.integers(1900, 2100),
+)
+def test_hull_of_mac_sweep_matches_np_unique_chain(gains1, gains2, pbar, num):
+    modes = min(len(gains1), len(gains2))
+    ch1 = MainChannel(np.diag(gains1[:modes]).astype(complex))
+    ch2 = MainChannel(np.diag(gains2[:modes]).astype(complex))
+    raw = mac_region(ch1, ch2, pbar, 1, np.linspace(0.01, 1.0, num)).raw_points
+    _assert_same_hull(raw)

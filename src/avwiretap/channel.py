@@ -93,10 +93,11 @@ def _gram_deviation(h: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gram - np.eye(h.shape[-2])), axis=(-2, -1))
 
 
-def _eve_stack(a, canonical: bool) -> np.ndarray:
-    """Coerce to a (..., n_eve, n_tx) stack of eavesdropper matrices; with
-    ``canonical``, every matrix must also have orthonormal rows."""
-    h = as_complex_matrix(a, stacked=True)
+def _eve_stack(a, canonical: bool, stacked: bool = True) -> np.ndarray:
+    """Coerce to a (..., n_eve, n_tx) stack of eavesdropper matrices (one
+    matrix if not ``stacked``); with ``canonical``, every matrix must also
+    have orthonormal rows."""
+    h = as_complex_matrix(a, stacked=stacked)
     n_eve, n_tx = h.shape[-2:]
     if n_eve > n_tx:
         raise DimensionError(
@@ -118,16 +119,7 @@ class EveState:
     ht: np.ndarray
 
     def __post_init__(self):
-        ht = as_complex_matrix(self.ht)
-        object.__setattr__(self, "ht", _eve_stack(ht, canonical=True))
-
-    @property
-    def n_eve(self) -> int:
-        return self.ht.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.ht.shape[1]
+        object.__setattr__(self, "ht", _eve_stack(self.ht, canonical=True, stacked=False))
 
 
 def canonicalize_eve(h_raw):
@@ -139,7 +131,8 @@ def canonicalize_eve(h_raw):
     eavesdropper.  A matrix that is already canonical is returned unchanged.
     A single (n_eve, n_tx) matrix gives an ``EveState``; a stack
     (..., n_eve, n_tx) gives the canonical stack as an array, from one
-    batched SVD.
+    batched SVD.  The stack is not checked again: its kept members passed
+    the orthonormality test and the others are SVD rows.
     """
     h = _eve_stack(h_raw, canonical=False)
     keep = _gram_deviation(h) <= ORTHO_TOL
@@ -148,7 +141,7 @@ def canonicalize_eve(h_raw):
         # remainder are the orthonormal completion used for zero/deficient rows.
         vh = np.linalg.svd(h, full_matrices=True)[2][..., : h.shape[-2], :]
         h = np.where(keep[..., None, None], h, vh)
-    return EveState(h) if h.ndim == 2 else _eve_stack(h, canonical=True)
+    return EveState(h) if h.ndim == 2 else h
 
 
 def random_eve_state(n_eve: int, n_tx: int, rng) -> EveState:
@@ -181,8 +174,9 @@ class EveTrace:
 
     @property
     def states(self) -> tuple:
-        """The per-use states, one ``EveState`` each."""
-        return tuple(EveState(ht) for ht in self.stacked)
+        """The per-use (n_eve, n_tx) matrices: read-only views of ``stacked``,
+        already checked, so no copy and no ``EveState`` per use."""
+        return tuple(self.stacked)
 
     @property
     def n(self) -> int:

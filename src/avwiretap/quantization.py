@@ -334,6 +334,7 @@ def schedule_params(
     drift_ok = None
     if perturbation is not None:
         p, n_tx, n_eve, eps = perturbation
+        perturbation_radii(p, n_tx, n_eve, 1, eps)  # refuses what the radii refuse
         if p == 0:
             drift_ok = np.full(n_float.shape, True)
         else:

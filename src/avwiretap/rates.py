@@ -146,6 +146,8 @@ def converse_rate_bound(ch: MainChannel, pbar, n_eve: int, convention: str = "fu
     per_antenna = np.asarray(pbar, dtype=float) / ch.n_tx
     if np.any(per_antenna < 0):
         raise ValueError("power budget must be nonnegative")
+    if n_eve < 0:
+        raise ValueError("eavesdropper antenna count must be nonnegative")
     bound = np.zeros_like(per_antenna)
     for s in ch.singular_values[n_eve:]:
         bound = bound + capacity_term(s * s * per_antenna, convention)
@@ -238,11 +240,6 @@ def _square_pair(ch1: MainChannel, ch2: MainChannel) -> int:
     return ch1.n_tx
 
 
-def _single_user_rate(ch: MainChannel, p, n_t: int, n_eve: int, convention: str):
-    mi = _mode_rate(ch.singular_values, p, n_t, convention)
-    return np.maximum(mi - n_eve * capacity_term(p, convention), 0.0)
-
-
 def mac_region(
     ch1: MainChannel,
     ch2: MainChannel,
@@ -265,13 +262,17 @@ def mac_region(
     if np.any((alphas <= 0) | (alphas > 1)):
         raise ValueError("alpha values must lie in (0, 1]")
     abars = 1.0 - alphas
-    p1 = np.maximum(pbar / alphas - n_t, 0.0)
-    r1 = alphas * _single_user_rate(ch1, p1, n_t, n_eve, convention)
+
+    def rate(ch, share):
+        # the user's rate at the boosted budget pbar / share, over its share
+        pc = PowerConfig(pbar / share, 0.0, n_t)
+        return share * secrecy_rate(ch, pc, n_eve, convention).rate_bits
+
+    r1 = rate(ch1, alphas)
     # user 2 gets no time slot at alpha = 1
     shared = abars > 0
     r2 = np.zeros_like(alphas)
-    p2 = np.maximum(pbar / abars[shared] - n_t, 0.0)
-    r2[shared] = abars[shared] * _single_user_rate(ch2, p2, n_t, n_eve, convention)
+    r2[shared] = rate(ch2, abars[shared])
     raw = np.column_stack([r1, r2])
     return RateRegion(raw_points=raw, hull=convex_hull_2d(raw))
 
@@ -285,10 +286,9 @@ def bc_region(
 ) -> RateRegion:
     """Time-sharing secrecy rate region of the two-receiver broadcast model:
     the triangle spanned by the two single-user corner points."""
-    n_t = _square_pair(ch1, ch2)
-    p = PowerConfig(pbar, 0.0, n_t).p
-    c1 = _single_user_rate(ch1, p, n_t, n_eve, convention)
-    c2 = _single_user_rate(ch2, p, n_t, n_eve, convention)
+    pc = PowerConfig(pbar, 0.0, _square_pair(ch1, ch2))
+    c1 = secrecy_rate(ch1, pc, n_eve, convention).rate_bits
+    c2 = secrecy_rate(ch2, pc, n_eve, convention).rate_bits
     raw = np.array([(0.0, 0.0), (c1, 0.0), (0.0, c2)])
     return RateRegion(raw_points=raw, hull=convex_hull_2d(raw))
 

@@ -5,10 +5,19 @@ log-likelihood perturbation kernel."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avwiretap.channel import EveTrace, canonicalize_eve, complex_normal, eve_observe
+from avwiretap.channel import (
+    ORTHO_TOL,
+    DimensionError,
+    EveState,
+    EveTrace,
+    canonicalize_eve,
+    complex_normal,
+    eve_observe,
+)
 from avwiretap.quantization import (
     check_loglik_perturbation,
     check_loglik_perturbation_batch,
@@ -174,3 +183,53 @@ def test_batched_perturbation_matches_per_instance_loop(batch, two_axes):
     assert np.array_equal(np.array(got, dtype=float), np.array(reference, dtype=float),
                           equal_nan=True)
     assert all(type(c.applicable) is bool and type(c.lhs) is float for c in loop)
+
+
+def test_trace_states_are_read_only_views_of_the_stack(rng):
+    trace = EveTrace.random(2, 3, 5, rng)
+    states = trace.states
+    assert len(states) == trace.n
+    for i, state in enumerate(states):
+        assert isinstance(state, np.ndarray) and state.shape == (2, 3)
+        assert not state.flags.writeable
+        assert np.shares_memory(state, trace.stacked)
+        assert np.array_equal(state, trace.stacked[i])
+
+
+@st.composite
+def scaled_stacks(draw):
+    """(count, n_eve, n_tx) stacks whose members have entries on scales from
+    1e-150 to 1e150, with nearly rank-deficient and all-zero members."""
+    n_eve = draw(st.integers(1, 3))
+    n_tx = draw(st.integers(n_eve, 4))
+    kinds = draw(st.lists(st.sampled_from(("raw", "nearly-deficient", "zero")),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in kinds:
+        h = complex_normal(rng, (n_eve, n_tx))
+        if kind == "nearly-deficient":
+            tilt = 10.0 ** draw(st.floats(-15.0, -6.0))
+            h = np.outer(complex_normal(rng, (n_eve,)), h[0]) + tilt * h
+        elif kind == "zero":
+            h = np.zeros((n_eve, n_tx), dtype=complex)
+        members.append(10.0 ** draw(st.floats(-150.0, 150.0)) * h)
+    return np.stack(members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_stacks())
+def test_canonicalized_stack_is_orthonormal_at_every_scale(stack):
+    # the stack form of canonicalize_eve is not re-checked on its way out,
+    # so every member must meet ORTHO_TOL by construction
+    canon = canonicalize_eve(stack)
+    gram = canon @ canon.conj().swapaxes(-1, -2)
+    deviation = np.max(np.abs(gram - np.eye(stack.shape[-2])), axis=(-2, -1))
+    assert np.all(deviation <= ORTHO_TOL)
+    trace = EveTrace(canon)
+    assert np.array_equal(trace.stacked, canon)
+
+
+def test_eve_state_takes_one_matrix_only():
+    with pytest.raises(DimensionError):
+        EveState(np.eye(2)[None])

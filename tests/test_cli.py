@@ -890,3 +890,27 @@ def test_channel_matrix_at_the_cap_is_accepted(tmp_path):
     assert code == 0
     _, header, rows = read_table(out)
     assert len(rows) == 1 and float(rows[0][header.index("converse_bound")]) > 0
+
+
+_BC = {**_MAC, "model": "bc"}
+_PERTURBATION = _SCHEDULE["perturbation"]
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("region", {**_MAC, "pbar": -10.0}, "power budget"),
+    ("region", {**_MAC, "n_eve": -1}, "eavesdropper antenna count"),
+    ("region", {**_BC, "n_eve": -1}, "eavesdropper antenna count"),
+    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "eps": -1.0}}, "margin"),
+    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "eps": 0.0}}, "margin"),
+    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "n_eve": 0}}, "antenna counts"),
+    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "n_tx": 0}}, "antenna counts"),
+    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "p": -1.0}}, "code power"),
+])
+def test_out_of_domain_region_and_drift_inputs_are_config_errors(tmp_path, capsys, command,
+                                                                 payload, message):
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    code, out = _run(tmp_path, command, "--config", cfg)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err

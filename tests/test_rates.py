@@ -185,3 +185,8 @@ def test_half_convention_scales_everything(rng):
     assert converse_rate_bound(ch, 50.0, 1, "half") == pytest.approx(
         0.5 * converse_rate_bound(ch, 50.0, 1, "full")
     )
+
+
+def test_converse_bound_refuses_negative_eavesdropper_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        converse_rate_bound(MainChannel(np.eye(2)), 10.0, -1)

@@ -19,6 +19,10 @@ import numpy as np
 RANK_RTOL = 1e-8
 # Max-entry tolerance for orthonormal-row eavesdropper matrices.
 ORTHO_TOL = 1e-9
+# Fewest one-row states that canonicalize_eve reduces in closed form: below
+# it the batched SVD is cheaper than the closed form's fixed cost of about
+# 40 array operations (at 8 states 21 us against 48 us; they cross near 32).
+CLOSED_FORM_MIN_STATES = 32
 
 
 class DimensionError(ValueError):
@@ -122,6 +126,53 @@ class EveState:
         object.__setattr__(self, "ht", _eve_stack(self.ht, canonical=True, stacked=False))
 
 
+def _reflector_rows(h: np.ndarray) -> np.ndarray:
+    """Canonical form of a stack of one-row states (..., 1, n_tx): the first
+    right-singular row LAPACK's SVD (``zgesdd``) returns, without an SVD.
+
+    A 1 x 1 state gives [[1]].  For n_tx >= 2 the row is the first row of
+    the LQ factor's Q, one Householder reflector (``zlarfg`` and ``zungl2``):
+    v = h / beta with beta = -copysign(|h|, Re h_0), or v = e_1 (no
+    reflection) when the tail h_1.. is zero and h_0 is real, a zero row
+    included.  The arithmetic below is LAPACK's step for step, with the tail
+    norm summed in extended precision as OpenBLAS's x86-64 ``dznrm2`` does,
+    so there the rows agree bit for bit, and elsewhere to rounding.  A row
+    whose scale lies outside 2^-500..2^500, where that arithmetic would
+    overflow or lose precision (subnormal rows), is first scaled by a power
+    of two: that is exact and leaves every ratio below unchanged.
+    """
+    if h.shape[-1] == 1:
+        return np.ones_like(h)
+    row = h[..., 0, :]
+    flat = ~np.any(row[..., 1:], axis=-1) & (row[..., 0].imag == 0)
+    # the reflector works on conj(h): head alpha = ar + i ai, tail x = xr + i xi
+    ar, ai, xr, xi = row[..., :1].real, -row[..., :1].imag, row[..., 1:].real, -row[..., 1:].imag
+    wide = np.longdouble
+    xn = np.sqrt(np.sum(np.square(xr, dtype=wide), axis=-1, keepdims=True)
+                 + np.sum(np.square(xi, dtype=wide), axis=-1, keepdims=True))
+    xnorm = xn.astype(float)
+    w = np.maximum(np.maximum(np.abs(ar), np.abs(ai)), xnorm)  # dlapy3's scale
+    if not 2.0**-500 < w.min() <= w.max() < 2.0**500:
+        wild = (w <= 2.0**-500) | (w >= 2.0**500)
+        exp = np.where(wild, -np.frexp(np.maximum(np.maximum(np.abs(ar), np.abs(ai)), xn))[1], 0)
+        ar, ai, xr, xi = (np.ldexp(part, exp) for part in (ar, ai, xr, xi))
+        xnorm = np.ldexp(xn, exp).astype(float)
+        w = np.maximum(np.maximum(np.abs(ar), np.abs(ai)), xnorm)
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat rows are replaced
+        beta = -np.copysign(w * np.sqrt((ar / w) ** 2 + (ai / w) ** 2 + (xnorm / w) ** 2), ar)
+        tr, ti = (beta - ar) / beta, -ai / beta  # tau
+        c = ar - beta  # s = 1 / (alpha - beta) = sr - i rs, by dladiv
+        r = ai / c
+        sr = 1.0 / (c + ai * r)
+        rs = r * sr
+        vr, vi = sr * xr + rs * xi, sr * xi - rs * xr  # v = s x
+        q = np.empty_like(row)  # Q's first row: 1 - conj(tau), conj(-tau v)
+        q.real[..., :1], q.imag[..., :1] = 1.0 - tr, ti
+        q.real[..., 1:], q.imag[..., 1:] = ti * vi - tr * vr, tr * vi + ti * vr
+    q[flat] = np.eye(1, row.shape[-1])[0]
+    return q[..., None, :]
+
+
 def canonicalize_eve(h_raw):
     """Reduce raw eavesdropper matrices to canonical orthonormal-row form.
 
@@ -130,16 +181,24 @@ def canonicalize_eve(h_raw):
     with orthonormal completion rows, which only strengthens the
     eavesdropper.  A matrix that is already canonical is returned unchanged.
     A single (n_eve, n_tx) matrix gives an ``EveState``; a stack
-    (..., n_eve, n_tx) gives the canonical stack as an array, from one
-    batched SVD.  The stack is not checked again: its kept members passed
-    the orthonormality test and the others are SVD rows.
+    (..., n_eve, n_tx) gives the canonical stack as an array.  Every other
+    matrix is replaced by its leading right-singular rows, from one batched
+    SVD; a stack of at least ``CLOSED_FORM_MIN_STATES`` one-row states
+    (n_eve = 1) gets the row LAPACK's SVD returns in closed form instead
+    (``_reflector_rows``).  The closed form keeps LAPACK's sign and phase,
+    not any other unit multiple of the row, so seeded draws keep the values
+    the SVD gave them.  The stack is not checked again: its kept members
+    passed the orthonormality test and the others are unit or SVD rows.
     """
     h = _eve_stack(h_raw, canonical=False)
     keep = _gram_deviation(h) <= ORTHO_TOL
     if not np.all(keep):
-        # Right-singular rows: the first rank(h) of them span the row space, the
-        # remainder are the orthonormal completion used for zero/deficient rows.
-        vh = np.linalg.svd(h, full_matrices=True)[2][..., : h.shape[-2], :]
+        if h.shape[-2] == 1 and keep.size >= CLOSED_FORM_MIN_STATES:
+            vh = _reflector_rows(h)
+        else:
+            # Right-singular rows: the first rank(h) of them span the row space,
+            # the remainder are the orthonormal completion for deficient rows.
+            vh = np.linalg.svd(h, full_matrices=True)[2][..., : h.shape[-2], :]
         h = np.where(keep[..., None, None], h, vh)
     return EveState(h) if h.ndim == 2 else h
 

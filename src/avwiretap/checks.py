@@ -70,7 +70,7 @@ def noise_whiteness_check(
     if samples < n_tx:
         raise ValueError("need at least n_tx noise samples")
     if state_mats is None:
-        state_mats = EveTrace.random(n_eve, n_tx, n_states, rng).stacked
+        state_mats = canonicalize_eve(complex_normal(rng, (n_states, n_eve, n_tx)))
     h = np.asarray(state_mats, dtype=np.complex128)
     count = h.shape[0]
     low = np.zeros((count, n_tx, n_tx), dtype=np.complex128)
@@ -129,7 +129,7 @@ def quantization_error_check(
 ) -> CheckResult:
     """Worst per-row squared snapping error against its strict cap."""
     cap = row_error_cap(m, n_tx)
-    states = EveTrace.random(n_eve, n_tx, n_states, rng).stacked
+    states = canonicalize_eve(complex_normal(rng, (n_states, n_eve, n_tx)))
     worst = float(np.sum(np.abs(states - quantize_eve(states, m)) ** 2, axis=-1).max())
     return CheckResult(
         check_id="quantization-error",

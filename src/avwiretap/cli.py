@@ -447,6 +447,8 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
     ch = ch or _channel({"identity": n_tx}, "channel")
     if ch.n_tx != n_tx:
         raise ConfigError(f"channel has {ch.n_tx} transmit antennas but n_tx is {n_tx}")
+    if not 1 <= n_eve <= n_tx:
+        raise ConfigError(f"n_eve must lie between 1 and n_tx = {n_tx}, not {n_eve}")
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)
     i_main = main_mutual_info(ch, pc)
     i_eve = n_eve * math.log2(pc.p_prime)

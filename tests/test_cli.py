@@ -552,6 +552,21 @@ def test_simulate_refuses_bad_subset_or_channel_width_before_sampling(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_eve", [-1, 0, 3])
+def test_simulate_refuses_eavesdropper_rows_outside_one_to_n_tx(tmp_path, capsys, monkeypatch,
+                                                               n_eve):
+    # refused before any book is sized from i_eve = n_eve log2 p'
+    def no_binning(*args, **kwargs):
+        raise RuntimeError("sized a codebook")
+
+    monkeypatch.setattr(cli, "binning_params", no_binning)
+    cfg = _write_cfg(tmp_path, "sim.json", {"n_tx": 2, "n_eve": n_eve})
+    code, out = _run(tmp_path, "simulate", "--config", cfg, "--seed", "1")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "n_eve" in err[0]
+
+
 _RATE = {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10.0]}
 _MAC = {"model": "mac", "channel1": {"identity": 2}, "channel2": {"identity": 2},
         "pbar": 10.0, "n_eve": 1}

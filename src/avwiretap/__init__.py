@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .channel import (
     DimensionError,
-    EveState,
     EveTrace,
     InvariantError,
     MainChannel,
@@ -85,9 +84,9 @@ from .rates import (
 __all__ = [
     "__version__",
     # channel
-    "DimensionError", "EveState", "EveTrace", "InvariantError", "MainChannel",
-    "PowerConfig", "RankError", "canonicalize_eve", "complex_normal",
-    "eve_observe", "effective_noise_cov", "main_observe", "random_eve_state",
+    "DimensionError", "EveTrace", "InvariantError", "MainChannel", "PowerConfig",
+    "RankError", "canonicalize_eve", "complex_normal", "eve_observe",
+    "effective_noise_cov", "main_observe", "random_eve_state",
     "random_full_rank_channel", "transmit",
     # rates and regions
     "RateRegion", "SecrecyRateResult", "bc_region", "capacity_term",

@@ -97,11 +97,11 @@ def _gram_deviation(h: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gram - np.eye(h.shape[-2])), axis=(-2, -1))
 
 
-def _eve_stack(a, canonical: bool, stacked: bool = True) -> np.ndarray:
-    """Coerce to a (..., n_eve, n_tx) stack of eavesdropper matrices (one
-    matrix if not ``stacked``); with ``canonical``, every matrix must also
-    have orthonormal rows."""
-    h = as_complex_matrix(a, stacked=stacked)
+def _eve_stack(a, canonical: bool) -> np.ndarray:
+    """Coerce to one (n_eve, n_tx) eavesdropper matrix or a stack of them
+    (..., n_eve, n_tx); with ``canonical``, every matrix must also have
+    orthonormal rows."""
+    h = as_complex_matrix(a, stacked=True)
     n_eve, n_tx = h.shape[-2:]
     if n_eve > n_tx:
         raise DimensionError(
@@ -116,14 +116,20 @@ def _eve_stack(a, canonical: bool, stacked: bool = True) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class EveState:
-    """One eavesdropper channel matrix in canonical (orthonormal rows) form."""
-
-    ht: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ht", _eve_stack(self.ht, canonical=True, stacked=False))
+def _unit_scaled(h: np.ndarray) -> np.ndarray:
+    """``h`` with each matrix whose largest part lies outside 2^-500..2^500
+    scaled by a power of two to below 1: exact, and it keeps the row space,
+    so no product below overflows or underflows."""
+    parts = np.abs(np.ascontiguousarray(h).view(np.float64))
+    if 2.0**-500 < parts.min() and parts.max() < 2.0**500:  # no zero or extreme part
+        return h
+    top = parts.reshape(*h.shape[:-2], 1, -1).max(axis=-1, keepdims=True)
+    exp = np.where((top <= 2.0**-500) | (top >= 2.0**500), -np.frexp(top)[1], 0)
+    if not exp.any():
+        return h
+    out = np.empty_like(h)
+    out.real, out.imag = np.ldexp(h.real, exp), np.ldexp(h.imag, exp)
+    return out
 
 
 def _reflector_rows(h: np.ndarray) -> np.ndarray:
@@ -136,14 +142,13 @@ def _reflector_rows(h: np.ndarray) -> np.ndarray:
     reflection) when the tail h_1.. is zero and h_0 is real, a zero row
     included.  The arithmetic below is LAPACK's step for step, with the tail
     norm summed in extended precision as OpenBLAS's x86-64 ``dznrm2`` does,
-    so there the rows agree bit for bit, and elsewhere to rounding.  A row
-    whose scale lies outside 2^-500..2^500, where that arithmetic would
-    overflow or lose precision (subnormal rows), is first scaled by a power
-    of two: that is exact and leaves every ratio below unchanged.
+    so there the rows agree bit for bit, and elsewhere to rounding.  Rows
+    are first brought into range by ``_unit_scaled``, which changes no ratio
+    below.
     """
     if h.shape[-1] == 1:
         return np.ones_like(h)
-    row = h[..., 0, :]
+    row = _unit_scaled(h)[..., 0, :]
     flat = ~np.any(row[..., 1:], axis=-1) & (row[..., 0].imag == 0)
     # the reflector works on conj(h): head alpha = ar + i ai, tail x = xr + i xi
     ar, ai, xr, xi = row[..., :1].real, -row[..., :1].imag, row[..., 1:].real, -row[..., 1:].imag
@@ -152,12 +157,6 @@ def _reflector_rows(h: np.ndarray) -> np.ndarray:
                  + np.sum(np.square(xi, dtype=wide), axis=-1, keepdims=True))
     xnorm = xn.astype(float)
     w = np.maximum(np.maximum(np.abs(ar), np.abs(ai)), xnorm)  # dlapy3's scale
-    if not 2.0**-500 < w.min() <= w.max() < 2.0**500:
-        wild = (w <= 2.0**-500) | (w >= 2.0**500)
-        exp = np.where(wild, -np.frexp(np.maximum(np.maximum(np.abs(ar), np.abs(ai)), xn))[1], 0)
-        ar, ai, xr, xi = (np.ldexp(part, exp) for part in (ar, ai, xr, xi))
-        xnorm = np.ldexp(xn, exp).astype(float)
-        w = np.maximum(np.maximum(np.abs(ar), np.abs(ai)), xnorm)
     with np.errstate(divide="ignore", invalid="ignore"):  # flat rows are replaced
         beta = -np.copysign(w * np.sqrt((ar / w) ** 2 + (ai / w) ** 2 + (xnorm / w) ** 2), ar)
         tr, ti = (beta - ar) / beta, -ai / beta  # tau
@@ -179,18 +178,18 @@ def canonicalize_eve(h_raw):
     Keeps the row space of the input (the raw observation is a degraded
     function of the canonical one) and fills any rank-deficient directions
     with orthonormal completion rows, which only strengthens the
-    eavesdropper.  A matrix that is already canonical is returned unchanged.
-    A single (n_eve, n_tx) matrix gives an ``EveState``; a stack
-    (..., n_eve, n_tx) gives the canonical stack as an array.  Every other
-    matrix is replaced by its leading right-singular rows, from one batched
-    SVD; a stack of at least ``CLOSED_FORM_MIN_STATES`` one-row states
-    (n_eve = 1) gets the row LAPACK's SVD returns in closed form instead
+    eavesdropper.  Takes one (n_eve, n_tx) matrix or a stack of them and
+    returns an array of the same shape.  Matrices are first brought into
+    range by ``_unit_scaled``; one that is then canonical is kept as it is.
+    Every other matrix is replaced by its leading right-singular rows, from
+    one batched SVD; a stack of at least ``CLOSED_FORM_MIN_STATES`` one-row
+    states (n_eve = 1) gets the row LAPACK's SVD returns in closed form instead
     (``_reflector_rows``).  The closed form keeps LAPACK's sign and phase,
     not any other unit multiple of the row, so seeded draws keep the values
-    the SVD gave them.  The stack is not checked again: its kept members
+    the SVD gave them.  The result is not checked again: its kept members
     passed the orthonormality test and the others are unit or SVD rows.
     """
-    h = _eve_stack(h_raw, canonical=False)
+    h = _unit_scaled(_eve_stack(h_raw, canonical=False))
     keep = _gram_deviation(h) <= ORTHO_TOL
     if not np.all(keep):
         if h.shape[-2] == 1 and keep.size >= CLOSED_FORM_MIN_STATES:
@@ -200,11 +199,11 @@ def canonicalize_eve(h_raw):
             # the remainder are the orthonormal completion for deficient rows.
             vh = np.linalg.svd(h, full_matrices=True)[2][..., : h.shape[-2], :]
         h = np.where(keep[..., None, None], h, vh)
-    return EveState(h) if h.ndim == 2 else h
+    return h
 
 
-def random_eve_state(n_eve: int, n_tx: int, rng) -> EveState:
-    """Canonical state whose row space is an isotropically random subspace."""
+def random_eve_state(n_eve: int, n_tx: int, rng) -> np.ndarray:
+    """Canonical (n_eve, n_tx) state with an isotropically random row space."""
     return canonicalize_eve(complex_normal(rng, (n_eve, n_tx)))
 
 
@@ -224,8 +223,9 @@ class EveTrace:
         object.__setattr__(self, "stacked", stack)
 
     @classmethod
-    def constant(cls, state: EveState, n: int) -> "EveTrace":
-        return cls(np.repeat(state.ht[None], n, axis=0))
+    def constant(cls, state, n: int) -> "EveTrace":
+        """The trace that uses one (n_eve, n_tx) state n times."""
+        return cls(np.repeat(np.asarray(state)[None], n, axis=0))
 
     @classmethod
     def random(cls, n_eve: int, n_tx: int, n: int, rng) -> "EveTrace":
@@ -234,7 +234,7 @@ class EveTrace:
     @property
     def states(self) -> tuple:
         """The per-use (n_eve, n_tx) matrices: read-only views of ``stacked``,
-        already checked, so no copy and no ``EveState`` per use."""
+        already checked, so no copy per use."""
         return tuple(self.stacked)
 
     @property
@@ -322,6 +322,11 @@ def state_stack(states) -> np.ndarray:
     return stack
 
 
+def _observe(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``eve_observe`` on checked operands whose shapes line up."""
+    return np.einsum("...iet,...ti->...ei", stack, x)
+
+
 def eve_observe(x, states) -> np.ndarray:
     """Noiseless eavesdropper observation, one state per channel use.
 
@@ -337,7 +342,7 @@ def eve_observe(x, states) -> np.ndarray:
         raise DimensionError(
             f"signal blocks are {x.shape[-2:]} but the trace expects ({n_tx}, {n})"
         )
-    return np.einsum("...iet,...ti->...ei", stack, x)
+    return _observe(stack, x)
 
 
 def effective_noise_cov(ch: MainChannel) -> np.ndarray:

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    DimensionError,
-    EveState,
-    as_complex_matrix,
-    eve_observe,
-    state_stack,
-)
+from .channel import DimensionError, _observe, as_complex_matrix, state_stack
 
 
 def row_error_cap(m: int, n_tx: int) -> float:
@@ -36,16 +30,13 @@ def quantize_eve(st, m: int) -> np.ndarray:
 
     Takes one state or any stack of state matrices (..., n_eve, n_tx).
     Rounds half away from zero, which keeps the result symmetric and inside
-    the unit box that canonical entries occupy.
+    the unit box that canonical entries occupy.  Both parts are snapped in
+    one pass over the array's float view.
     """
     if m < 1:
         raise ValueError("grid density must be >= 1")
-    ht = st.ht if isinstance(st, EveState) else as_complex_matrix(st, stacked=True)
-
-    def snap(v):
-        return np.sign(v) * np.floor(np.abs(v) * m + 0.5) / m
-
-    return snap(ht.real) + 1j * snap(ht.imag)
+    v = np.ascontiguousarray(as_complex_matrix(st, stacked=True)).view(np.float64)
+    return (np.sign(v) * np.floor(np.abs(v) * m + 0.5) / m).view(np.complex128)
 
 
 def grid_log_size(m: float, n_tx: int, n_eve: int, n: int) -> float:
@@ -101,20 +92,9 @@ class PerturbationCheck:
     holds: bool
 
 
-def check_loglik_perturbation_batch(
-    x, z, states_a, states_b, p: float, m: int, eps: float
-) -> PerturbationCheck:
-    """``check_loglik_perturbation`` on a batch of instances at once.
-
-    ``x`` is (..., n_tx, n), ``z`` is (..., n_eve, n), and the two state
-    sequences are (..., n, n_eve, n_tx), all with the same leading axes.
-    Inadmissible instances come back not applicable, with ``lhs`` and
-    ``rhs`` nan and ``holds`` false.
-    """
-    x = as_complex_matrix(x, stacked=True)
-    z = as_complex_matrix(z, stacked=True)
-    stack_a = state_stack(states_a)
-    stack_b = state_stack(states_b)
+def _perturbation(x, z, stack_a, stack_b, p: float, m: int, eps: float) -> PerturbationCheck:
+    """The perturbation check on checked operands, batched over their
+    leading axes."""
     *batch, n_tx, n = x.shape
     n_eve = z.shape[-2]
     if (
@@ -128,15 +108,29 @@ def check_loglik_perturbation_batch(
     row_err = np.sum(np.abs(stack_a - stack_b) ** 2, axis=-1)
     applicable = np.all(row_err < row_error_cap(m, n_tx), axis=(-2, -1))
     applicable &= np.sum(np.abs(x) ** 2, axis=(-2, -1)) / n <= p + 1e-12
-    residual = np.sum(np.abs(z - eve_observe(x, stack_a)) ** 2, axis=(-2, -1))
+    residual = np.sum(np.abs(z - _observe(stack_a, x)) ** 2, axis=(-2, -1))
     applicable &= residual / n < radii.r**2
 
-    other = np.sum(np.abs(z - eve_observe(x, stack_b)) ** 2, axis=(-2, -1))
+    other = np.sum(np.abs(z - _observe(stack_b, x)) ** 2, axis=(-2, -1))
     lhs = np.where(applicable, np.abs(residual - other), np.nan)
     rhs = np.where(applicable, n * loglik_drift_bound(radii), np.nan)
     return PerturbationCheck(
         applicable=applicable, lhs=lhs, rhs=rhs, holds=applicable & (lhs <= rhs)
     )
+
+
+def check_loglik_perturbation_batch(
+    x, z, states_a, states_b, p: float, m: int, eps: float
+) -> PerturbationCheck:
+    """``check_loglik_perturbation`` on a batch of instances at once.
+
+    ``x`` is (..., n_tx, n), ``z`` is (..., n_eve, n), and the two state
+    sequences are (..., n, n_eve, n_tx), all with the same leading axes.
+    Inadmissible instances come back not applicable, with ``lhs`` and
+    ``rhs`` nan and ``holds`` false.
+    """
+    x, z = as_complex_matrix(x, stacked=True), as_complex_matrix(z, stacked=True)
+    return _perturbation(x, z, state_stack(states_a), state_stack(states_b), p, m, eps)
 
 
 def check_loglik_perturbation(
@@ -149,15 +143,10 @@ def check_loglik_perturbation(
     ``rhs`` is n times the drift cap.  Instances that violate the
     admissibility preconditions (grid-snap row error, codeword power cap,
     residual radius) come back marked not applicable rather than failed.
-    A batch of one through ``check_loglik_perturbation_batch``.
+    The batched kernel on a batch of one.
     """
-    res = check_loglik_perturbation_batch(
-        as_complex_matrix(x)[None],
-        as_complex_matrix(z)[None],
-        state_stack(trace_a)[None],
-        state_stack(trace_b)[None],
-        p=p, m=m, eps=eps,
-    )
+    x, z = as_complex_matrix(x)[None], as_complex_matrix(z)[None]
+    res = _perturbation(x, z, state_stack(trace_a)[None], state_stack(trace_b)[None], p, m, eps)
     return PerturbationCheck(
         res.applicable.item(), res.lhs.item(), res.rhs.item(), res.holds.item()
     )

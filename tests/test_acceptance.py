@@ -150,7 +150,7 @@ def test_criterion_05_artificial_noise_whiteness():
     worst = 0.0
     for _ in range(10):
         st = random_eve_state(2, 3, rng)
-        seen = st.ht @ complex_normal(rng, (3, 100_000))
+        seen = st @ complex_normal(rng, (3, 100_000))
         cov = seen @ seen.conj().T / seen.shape[1]
         worst = max(worst, float(np.max(np.abs(cov - np.eye(2)))))
     ok = worst <= 0.05

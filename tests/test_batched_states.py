@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from avwiretap.channel import (
     ORTHO_TOL,
     DimensionError,
-    EveState,
     EveTrace,
     canonicalize_eve,
     complex_normal,
@@ -46,7 +45,7 @@ def raw_stacks(draw):
         elif kind == "zero":
             h = np.zeros((n_eve, n_tx), dtype=complex)
         elif kind == "canonical":
-            h = canonicalize_eve(h).ht
+            h = canonicalize_eve(h)
         members.append(h)
     return np.stack(members)
 
@@ -54,7 +53,7 @@ def raw_stacks(draw):
 @SETTINGS
 @given(raw_stacks(), st.booleans())
 def test_batched_canonicalize_matches_per_matrix_bitwise(stack, extra_axis):
-    per_matrix = np.stack([canonicalize_eve(h).ht for h in stack])
+    per_matrix = np.stack([canonicalize_eve(h) for h in stack])
     batched = canonicalize_eve(stack[None] if extra_axis else stack)
     assert np.array_equal(batched.reshape(stack.shape), per_matrix)
 
@@ -64,7 +63,7 @@ def test_batched_canonicalize_matches_per_matrix_bitwise(stack, extra_axis):
 def test_canonicalize_is_idempotent(stack):
     once = canonicalize_eve(stack)
     assert np.array_equal(canonicalize_eve(once), once)
-    assert np.array_equal(canonicalize_eve(once[0]).ht, once[0])
+    assert np.array_equal(canonicalize_eve(once[0]), once[0])
 
 
 @SETTINGS
@@ -88,12 +87,25 @@ def test_batched_observe_uses_state_i_for_column_i(n_eve, extra_tx, n, batch, se
     assert np.array_equal(eve_observe(x, np.array(trace.stacked)), out)
 
 
+def _snap_parts(h, m):
+    """The 1/m lattice snap of the real and the imaginary part, one at a time."""
+    def snap(v):
+        return np.sign(v) * np.floor(np.abs(v) * m + 0.5) / m
+
+    return snap(h.real) + 1j * snap(h.imag)
+
+
 @SETTINGS
 @given(raw_stacks(), st.integers(1, 300))
 def test_stacked_quantize_row_error_under_cap(stack, m):
     states = canonicalize_eve(stack)
     snapped = quantize_eve(states, m)
     assert np.array_equal(snapped, np.stack([quantize_eve(h, m) for h in states]))
+    # transposed, read-only and extra-axis inputs snap as each part alone
+    read_only = states.copy()
+    read_only.flags.writeable = False
+    for h in (states, states.swapaxes(-1, -2), read_only, states[None]):
+        assert np.all(quantize_eve(h, m) == _snap_parts(h, m))
     row_err = np.sum(np.abs(states - snapped) ** 2, axis=-1)
     assert np.all(row_err < 2.0 * states.shape[-1] / m**2)
 
@@ -230,6 +242,8 @@ def test_canonicalized_stack_is_orthonormal_at_every_scale(stack):
     assert np.array_equal(trace.stacked, canon)
 
 
-def test_eve_state_takes_one_matrix_only():
+def test_eve_trace_takes_three_axes_only():
     with pytest.raises(DimensionError):
-        EveState(np.eye(2)[None])
+        EveTrace(np.eye(2))
+    with pytest.raises(DimensionError):
+        EveTrace(np.eye(2)[None, None])

@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from avwiretap.channel import (
     DimensionError,
-    EveState,
     EveTrace,
     InvariantError,
     MainChannel,
@@ -28,28 +29,28 @@ def test_reduce_rank_deficient_raises():
 def test_canonicalize_identity_block_unchanged():
     h = np.hstack([np.eye(2), np.zeros((2, 1))])
     st = canonicalize_eve(h)
-    assert np.array_equal(st.ht, h.astype(complex))
+    assert np.array_equal(st, h.astype(complex))
 
 
 def test_canonicalize_scaled_row():
     st = canonicalize_eve([[5.0, 0.0]])
-    assert np.allclose(st.ht, [[1.0, 0.0]])
+    assert np.allclose(st, [[1.0, 0.0]])
 
 
 def test_canonicalize_zero_matrix_substitutes_unit_row():
     st = canonicalize_eve(np.zeros((1, 2)))
-    assert np.allclose(st.ht, [[1.0, 0.0]])
+    assert np.allclose(st, [[1.0, 0.0]])
 
 
 def test_canonicalize_rank_deficient_keeps_row_space(rng):
     row = complex_normal(rng, (1, 3))
     h = np.vstack([row, 2.0 * row])  # rank 1, two rows
     st = canonicalize_eve(h)
-    gram = st.ht @ st.ht.conj().T
+    gram = st @ st.conj().T
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-9
     # original rows must be reachable from the canonical rows
-    coef = row @ st.ht.conj().T
-    assert np.allclose(coef @ st.ht, row)
+    coef = row @ st.conj().T
+    assert np.allclose(coef @ st, row)
 
 
 def test_canonicalize_orthonormality_over_random_draws(rng):
@@ -57,8 +58,30 @@ def test_canonicalize_orthonormality_over_random_draws(rng):
         n_tx = int(rng.integers(1, 5))
         n_eve = int(rng.integers(1, n_tx + 1))
         st = canonicalize_eve(complex_normal(rng, (n_eve, n_tx)))
-        gram = st.ht @ st.ht.conj().T
+        gram = st @ st.conj().T
         assert np.max(np.abs(gram - np.eye(n_eve))) <= 1e-9
+
+
+# parts past about 1e154 overflow a Gram matrix or an SVD unless scaled first
+EXTREME_STATES = [
+    [[1.5e308 + 1.5e308j, -1.7e308, 0], [1e308, 1e308j, 1.2e308]],
+    [[1.5e308 + 1.5e308j, -1.7e308]],
+    [[1e200, 2e200j]],
+    [[3e-320, 1e-320j], [0, 2e-320]],
+]
+
+
+@pytest.mark.parametrize("h", EXTREME_STATES)
+def test_canonicalize_extreme_entries_span_their_rows(h):
+    h = np.array(h, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = canonicalize_eve(h)
+    assert st.shape == h.shape and np.all(np.isfinite(st))
+    assert np.max(np.abs(st @ st.conj().T - np.eye(len(h)))) <= 1e-9
+    exp = -np.frexp(np.max(np.abs(h.view(float))))[1]
+    rows = np.ldexp(h.real, exp) + 1j * np.ldexp(h.imag, exp)  # exact, |entries| < 1
+    assert np.max(np.abs(rows - (rows @ st.conj().T) @ st)) <= 1e-12
 
 
 def test_canonicalize_too_many_rows_raises():
@@ -68,7 +91,7 @@ def test_canonicalize_too_many_rows_raises():
 
 def test_eve_state_rejects_non_canonical():
     with pytest.raises(InvariantError):
-        EveState(np.array([[2.0, 0.0]]))
+        EveTrace.constant([[2.0, 0.0]], 1)
 
 
 def test_transmit_zero_noise_stub(zero_noise):
@@ -114,12 +137,12 @@ def test_main_observe_dimension_mismatch(rng):
 
 
 def test_eve_observe_zero_signal():
-    trace = EveTrace.constant(EveState(np.array([[1.0, 0.0]])), 4)
+    trace = EveTrace.constant(np.array([[1.0, 0.0]]), 4)
     assert np.array_equal(eve_observe(np.zeros((2, 4)), trace), np.zeros((1, 4)))
 
 
 def test_eve_observe_constant_trace_hand_product():
-    trace = EveTrace.constant(EveState(np.array([[1.0, 0.0]])), 1)
+    trace = EveTrace.constant(np.array([[1.0, 0.0]]), 1)
     x = np.array([[2.0 + 1.0j], [3.0]])
     assert np.allclose(eve_observe(x, trace), [[2.0 + 1.0j]])
 
@@ -161,7 +184,7 @@ def test_artificial_noise_is_white_at_eavesdropper(rng):
     for _ in range(10):
         st = random_eve_state(2, 3, rng)
         noise = complex_normal(rng, (3, 100_000))
-        seen = st.ht @ noise
+        seen = st @ noise
         cov = seen @ seen.conj().T / seen.shape[1]
         assert np.max(np.abs(cov - np.eye(2))) < 0.05
 
@@ -175,7 +198,7 @@ def test_output_distribution_invariant_across_canonical_states(rng):
     for _ in range(2):
         st = random_eve_state(2, 3, rng)
         x = complex_normal(rng, (3, samples), var=pc.per_antenna_var)
-        y = st.ht @ (x + complex_normal(rng, (3, samples)))
+        y = st @ (x + complex_normal(rng, (3, samples)))
         cov = y @ y.conj().T / samples
         # covariance entries fluctuate at roughly p' / sqrt(samples)
         assert np.max(np.abs(cov - pc.p_prime * np.eye(2))) < 5 * pc.p_prime / np.sqrt(samples)

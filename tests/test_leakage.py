@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avwiretap.channel import EveState, EveTrace, MainChannel, PowerConfig
+from avwiretap.channel import EveTrace, MainChannel, PowerConfig
 from avwiretap.codebook import (
     BinningParams,
     Codebook,
@@ -33,14 +33,14 @@ def _pc(pbar=6.0, eps_p=0.5, n_tx=2):
 
 def test_info_density_zero_signal_hits_center():
     pc = PowerConfig(pbar=10.0, eps_p=0.0, n_tx=2)  # p' = 5
-    trace = EveTrace.constant(EveState(np.array([[1.0, 0.0]])), 3)
+    trace = EveTrace.constant(np.array([[1.0, 0.0]]), 3)
     val = _density_bits(np.zeros((2, 3)), np.zeros((1, 3)), trace, pc.p_prime)
     assert val == pytest.approx(math.log2(5))
 
 
 def test_info_density_hand_point():
     pc = PowerConfig(pbar=10.0, eps_p=0.0, n_tx=2)  # p' = 5
-    trace = EveTrace.constant(EveState(np.array([[1.0, 0.0]])), 1)
+    trace = EveTrace.constant(np.array([[1.0, 0.0]]), 1)
     x = np.array([[1.0], [0.0]])
     z = np.array([[2.0]])
     expected = math.log2(5) + (4 / 5 - 1) * math.log2(math.e)
@@ -260,7 +260,7 @@ def test_eve_second_moment_tight_for_aligned_full_power_codewords(rng):
         1j * rng.uniform(0, 2 * math.pi, size=(8, n))
     )
     cb = Codebook(cw, 2, 4, "strong", pc)
-    trace = EveTrace.constant(EveState(np.array([[1.0, 0.0]])), n)
+    trace = EveTrace.constant(np.array([[1.0, 0.0]]), n)
     res = eve_second_moment_check(cb, trace, 6000, rng)
     assert res.holds
     assert abs(res.bound - res.empirical) <= 4 * res.stderr

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from avwiretap import channel, quantization
 from avwiretap.channel import EveTrace, complex_normal, random_eve_state
 from avwiretap.quantization import (
     _min_n_satisfying,
@@ -44,7 +45,7 @@ def test_quantize_row_error_strictly_below_cap(rng, m):
     worst = 0.0
     for _ in range(2_000):
         st = random_eve_state(1, 2, rng)
-        err = np.sum(np.abs(st.ht - quantize_eve(st, m)) ** 2, axis=1).max()
+        err = np.sum(np.abs(st - quantize_eve(st, m)) ** 2, axis=1).max()
         worst = max(worst, float(err))
     assert worst < cap
 
@@ -95,6 +96,20 @@ def test_perturbation_check_equal_traces(rng):
     res = check_loglik_perturbation(x, z, trace_a, trace_a.stacked, p=8.0, m=100, eps=0.1)
     assert res.applicable and res.holds
     assert res.lhs == pytest.approx(0.0, abs=1e-9)
+
+
+def test_perturbation_check_coerces_each_operand_once(rng, monkeypatch):
+    x, z, trace_a, grid = _admissible_instance(rng, 8, 2, 1, 8.0, 100)
+    calls = []
+    for module in (channel, quantization):
+        def counted(*args, _check=module.as_complex_matrix, **kwargs):
+            calls.append(args[0])
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(module, "as_complex_matrix", counted)
+    check_loglik_perturbation(x, z, trace_a, grid, p=8.0, m=100, eps=0.1)
+    # x, z and the raw grid; the trace was checked when it was built
+    assert len(calls) == 3
 
 
 def test_perturbation_check_zero_codeword(rng):

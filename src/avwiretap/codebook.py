@@ -315,15 +315,22 @@ def _augment(z_flat: np.ndarray) -> np.ndarray:
     return z
 
 
-def _panels(z: np.ndarray, image: np.ndarray, buf: np.ndarray):
-    """(first center, -|z - c|^2 for the panel's centers) over the image in
-    panels of ``buf.shape[1]`` centers, each written into ``buf`` by one GEMM
-    of the augmented rows z against that slice of the image."""
-    count, width = image.shape[0], buf.shape[1]
-    for start in range(0, count, width):
-        d = buf[: z.shape[0], : min(width, count - start)]
-        np.matmul(z, image[start : start + d.shape[1]].T, out=d)
+def _panels(z: np.ndarray, image: np.ndarray, buf: np.ndarray, spans):
+    """(first center, -|z - c|^2 for the panel's centers) for each (first
+    center, width) of ``spans``, written by one GEMM of the augmented rows z
+    against that slice of the image into a contiguous (rows, width) view of
+    the flat buffer ``buf``."""
+    rows = z.shape[0]
+    for start, width in spans:
+        d = buf[: rows * width].reshape(rows, width)
+        np.matmul(z, image[start : start + width].T, out=d)
         yield start, d
+
+
+def _even_spans(count: int, width: int):
+    """(first, width) of consecutive panels of at most ``width`` of
+    ``count`` centers."""
+    return [(s, min(width, count - s)) for s in range(0, count, width)]
 
 
 def _lse(a: np.ndarray, groups: int) -> np.ndarray:
@@ -339,26 +346,36 @@ def _binned_lse(z_flat: np.ndarray, image: np.ndarray, groups: int) -> np.ndarra
     """ln sum exp(-|z - c|^2) over each of ``groups`` equal column blocks of
     the image, (rows, groups).
 
-    The centers stream through one reused (rows, width) buffer of at most
-    ``_PANEL`` entries: each panel is exponentiated in place without a
-    shift and added into its bins' sums, by ``np.add.reduceat`` where the
-    panel crosses a bin edge, so no (rows, count) matrix is built.  A row
+    The centers stream through one reused buffer of at most ``_PANEL``
+    entries in bin-aligned panels: whole bins per panel where a bin fits in
+    one, else each bin in near-equal panels, so no panel crosses a bin
+    edge.  Each panel is exponentiated in place without a shift and its
+    bin sums, one BLAS matrix-vector product with a ones vector, are added
+    into the bins' totals, so no (rows, count) matrix is built.  A row
     where some bin's sum falls below ``_EXP_SUM_FLOOR`` is recomputed
     through the max-shift ``_lse``, at most ``_PANEL // count`` rows at a
     time."""
     rows, count = z_flat.shape[0], image.shape[0]
     per_bin = count // groups
     z = _augment(z_flat)
-    buf = np.empty((rows, min(count, max(1, _PANEL // max(rows, 1)))))
+    cap = max(1, _PANEL // max(rows, 1))
+    # seg: the most columns of one bin that a panel holds
+    if per_bin <= cap:
+        seg = per_bin
+        spans = _even_spans(count, cap // per_bin * per_bin)
+    else:
+        seg = math.ceil(per_bin / math.ceil(per_bin / cap))
+        spans = [(b * per_bin + s, w) for b in range(groups) for s, w in _even_spans(per_bin, seg)]
+    buf = np.empty(rows * spans[0][1])  # the first panel is the widest
+    ones = np.ones(seg)
     sums = np.zeros((rows, groups))
-    for start, d in _panels(z, image, buf):
+    for start, d in _panels(z, image, buf, spans):
         np.exp(d, out=d)
-        # the panel's columns from each bin edge it holds, from 0 for the
-        # bin it starts in
-        first, last = start // per_bin, (start + d.shape[1] - 1) // per_bin
-        cuts = np.arange(first, last + 1) * per_bin - start
-        cuts[0] = 0
-        sums[:, first : last + 1] += np.add.reduceat(d, cuts, axis=1)
+        # the sums of the panel's whole bins, or of its part of one bin
+        width = min(seg, d.shape[1])
+        bins = d.shape[1] // width
+        first = start // per_bin
+        sums[:, first : first + bins] += (d.reshape(-1, width) @ ones[:width]).reshape(rows, bins)
     low = np.flatnonzero(np.min(sums, axis=1) < _EXP_SUM_FLOOR)
     sums[low] = 1.0
     out = np.log(sums, out=sums)
@@ -376,24 +393,44 @@ def _nearest(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
     tied.
 
     Rows go in batches of at most ``_SAMPLE_BATCH``, and each batch streams
-    the centers twice through one reused buffer of at most ``_PANEL``
-    entries: the first pass finds each row's best value, the second the
-    first center within the slack of it, and stops once every row has one.
-    Both passes make the same GEMMs, so they see the same values."""
+    the centers through one reused buffer of at most ``_PANEL`` entries.
+    One pass keeps each row's best value and the first center within the
+    slack of it, taken in the panel where the best last rose.  A row whose
+    best before that rise was already within the slack of the new best may
+    have an earlier tied center, so only a batch holding such a row streams
+    the centers again, to find the first center within the slack of the
+    final best; both passes make the same GEMMs, so they see the same
+    values."""
     rows, count = z_flat.shape[0], image.shape[0]
     c_max = -np.min(image[:, -2])
     batch = min(rows, _SAMPLE_BATCH)
-    buf = np.empty((batch, min(count, max(1, _PANEL // max(batch, 1)))))
+    width = min(count, max(1, _PANEL // max(batch, 1)))
+    spans = _even_spans(count, width)
+    buf = np.empty(batch * width)
     out = np.empty(rows, dtype=np.intp)
     for s in range(0, rows, _SAMPLE_BATCH):
         z = _augment(z_flat[s : s + _SAMPLE_BATCH])
+        slack = 1e-12 * (z[:, -1] + c_max)
         best = np.full(z.shape[0], -np.inf)
-        for _, d in _panels(z, image, buf):
-            np.maximum(best, d.max(axis=1), out=best)
-        best -= 1e-12 * (z[:, -1] + c_max)
         found = out[s : s + z.shape[0]]
-        found.fill(-1)
-        for start, d in _panels(z, image, buf):
+        found.fill(0)
+        close = np.zeros(z.shape[0], dtype=bool)
+        for start, d in _panels(z, image, buf, spans):
+            top = d.max(axis=1)
+            rise = top > best
+            if rise.any():
+                floor = top - slack
+                first = np.argmax(d >= floor[:, None], axis=1)
+                found[rise] = start + first[rise]
+                # an earlier center can reach the floor only if the earlier
+                # best does (the same comparison as the second pass's)
+                close[rise] = best[rise] >= floor[rise]
+                best[rise] = top[rise]
+        if not close.any():
+            continue
+        best -= slack
+        found[close] = -1
+        for start, d in _panels(z, image, buf, spans):
             hit = d >= best[:, None]
             new = (found < 0) & hit.any(axis=1)
             found[new] = start + np.argmax(hit[new], axis=1)

@@ -5,20 +5,22 @@ the codebook-induced and ideal eavesdropper output laws, direct leakage
 estimation, and the supporting bound checks.
 
 Every Gaussian mixture is evaluated in the log domain by the codebook
-kernel, which streams the codebook image through one reused 512 KB panel:
--|z - c|^2 for a batch against one panel of centers (one real GEMM of the
-augmented sample rows against that slice of the augmented image), an
-in-place exp and a per-bin sum added into the bins' totals (not scipy's
-log-sum-exp), with a max-shift only for rows whose sums underflow, so exact
-mixtures stay fast at toy scale and never build a (samples, codewords)
-matrix.  The distance and leakage estimators read the eavesdropper image
-from the book (``Codebook.eve_image``), which builds it once per trace.
+kernel, which streams the codebook image through one reused 512 KB buffer
+in panels that never cross a bin edge: -|z - c|^2 for a batch against one
+panel of centers (one real GEMM of the augmented sample rows against that
+slice of the augmented image), an in-place exp and the panel's bin sums as
+one matrix-vector product with a ones vector, added into the bins' totals
+(not scipy's log-sum-exp), with a max-shift only for rows whose sums
+underflow, so exact mixtures stay fast at toy scale and never build a
+(samples, codewords) matrix.  The distance and leakage estimators read the
+eavesdropper image from the book (``Codebook.eve_image``), which builds it
+once per trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,9 +33,9 @@ from .codebook import (
     _image,
     _lse,
     check_toy_caps,
-    codebook_ensemble,
-    estimate_decode_error,
+    eve_bin_decode,
     mean_stderr,
+    sample_codebook,
 )
 from .quantization import truncation_exponent, truncation_mass
 
@@ -75,7 +77,13 @@ def _poisson_terms(a, k: int) -> np.ndarray:
 
     a = np.asarray(a, dtype=float)[..., None]
     r = np.arange(k)
-    return np.exp(xlogy(r, a) - a - gammaln(r + 1.0))
+    # r ln a from one log per point; the r = 0 column is 0 even where a = 0
+    terms = np.empty(a.shape[:-1] + (k,))
+    np.multiply(r[1:], xlogy(1.0, a), out=terms[..., 1:])
+    terms[..., 0] = 0.0
+    terms -= a
+    terms -= gammaln(r + 1.0)
+    return np.exp(terms, out=terms)
 
 
 def _erlang_cdf(t, k: int) -> np.ndarray:
@@ -435,15 +443,26 @@ def eve_error_symmetry_check(
     eavesdropper's expected decoding error cannot depend on which canonical
     state sequence it observes through; fresh codebooks are drawn for each
     trace and the two means compared at three combined standard errors.
+
+    The ``n_codebooks`` books of a trace are drawn side by side as the bins
+    of one sample (book k holds bins k n_bins .. (k + 1) n_bins - 1; sampled
+    rows are i.i.d., so each is a fresh book), each gets ``trials`` trials
+    with a uniform label in it, and all trials go through one decode.
     """
     if n_codebooks < 2:
         raise ValueError("need at least two codebooks per trace")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    books = replace(bp, n_bins=n_codebooks * bp.n_bins)
+    book = np.repeat(np.arange(n_codebooks), trials)
     results = []
     for trace in (trace_a, trace_b):
-        eta, stderr = codebook_ensemble(
-            bp, pc, n_codebooks, rng,
-            lambda cb: estimate_decode_error(cb, trace, trials, rng)[0],
-        )
+        cb = sample_codebook(books, pc, rng)
+        w = book * bp.n_bins + rng.integers(bp.n_bins, size=book.size)
+        j = rng.integers(bp.per_bin, size=book.size)
+        x = transmit(cb.codewords[w * bp.per_bin + j], rng)
+        wrong = eve_bin_decode(eve_observe(x, trace), w, trace, cb) != j
+        eta, stderr = mean_stderr(wrong.reshape(n_codebooks, trials).mean(axis=1))
         results.append((float(eta), float(stderr)))
     (eta_a, se_a), (eta_b, se_b) = results
     return SymmetryCheck(

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from avwiretap.channel import EveTrace, MainChannel, PowerConfig
+from avwiretap.channel import EveTrace, MainChannel, PowerConfig, eve_observe, transmit
 from avwiretap.codebook import (
     BinningParams,
     Codebook,
     ToyScaleError,
     binning_params,
+    eve_bin_decode,
+    mean_stderr,
     sample_codebook,
 )
 from avwiretap.leakage import (
@@ -294,6 +297,42 @@ def test_symmetry_under_unitary_rotation(rng):
     rotated = EveTrace(trace_a.stacked @ q)
     res = eve_error_symmetry_check(_weak_bp(6), pc, trace_a, rotated, 12, 60, rng)
     assert res.compatible
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symmetry_decodes_side_by_side_books_as_their_own(seed):
+    # the check draws a trace's books as the bins of one sample and decodes
+    # every trial at once; each book's errors must be those of decoding its
+    # trials through the book on its own, as a single-bin codebook
+    pc = PowerConfig(pbar=4.0, eps_p=0.0, n_tx=2)
+    bp, books, trials = _weak_bp(4), 5, 40
+    rng = np.random.default_rng(seed)
+    traces = EveTrace.random(1, 2, 4, rng), EveTrace.random(1, 2, 4, rng)
+    res = eve_error_symmetry_check(bp, pc, *traces, books, trials, np.random.default_rng(99))
+    ref_rng = np.random.default_rng(99)
+    ref = []
+    for trace in traces:
+        side = sample_codebook(replace(bp, n_bins=books), pc, ref_rng)
+        w = np.repeat(np.arange(books), trials) + ref_rng.integers(1, size=books * trials)
+        j = ref_rng.integers(bp.per_bin, size=w.size)
+        z = eve_observe(transmit(side.codewords[w * bp.per_bin + j], ref_rng), trace)
+        errors = []
+        for k in range(books):
+            own = Codebook(codewords=side.bin_codewords(k), n_bins=1, per_bin=bp.per_bin,
+                           mode="weak", pc=pc)
+            rows = slice(k * trials, (k + 1) * trials)
+            errors.append(np.mean(eve_bin_decode(z[rows], 0, trace, own) != j[rows]))
+        ref.extend(map(float, mean_stderr(errors)))
+    assert [res.eta_a, res.stderr_a, res.eta_b, res.stderr_b] == ref
+
+
+def test_symmetry_needs_two_codebooks_and_a_trial(rng):
+    pc = PowerConfig(pbar=4.0, eps_p=0.0, n_tx=2)
+    trace = EveTrace.random(1, 2, 4, rng)
+    with pytest.raises(ValueError, match="two codebooks"):
+        eve_error_symmetry_check(_weak_bp(4), pc, trace, trace, 1, 50, rng)
+    with pytest.raises(ValueError, match="one trial"):
+        eve_error_symmetry_check(_weak_bp(4), pc, trace, trace, 12, 0, rng)
 
 
 def test_symmetry_across_random_trace_pairs(rng):

@@ -3,8 +3,10 @@ behind the exact mixtures: ``mixture_logpdf`` and ``estimate_leakage_mi``
 agree with direct broadcast distances and scipy's log-sum-exp, far from
 every center and across more than one chunk; the per-bin sums that underflow
 take the max-shift fallback; ``_binned_lse`` matches a dense reference
-where panel edges cut bins and ``_nearest`` a dense argmin where they cut
-ties; and the kernel, the decoder's nearest-center search, the sampler, the
+where bins share a panel or split across several, and ``_nearest`` a dense
+argmin where panel edges cut ties and the brute-force tie rule where a later
+panel's best beats an earlier one by less or more than the slack; and the
+kernel, the decoder's nearest-center search, the sampler, the
 main decoder and one leakage estimate stay inside fixed memory budgets.
 Also pins ``complex_normal`` to its draw."""
 
@@ -12,6 +14,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -100,15 +103,19 @@ def _dense_binned_lse(z, centers, groups):
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 3, 257, 600]),
-    st.sampled_from([13, 4099]),
+    st.sampled_from([1, 3, 257, 512, 600]),
+    st.sampled_from([13, 300, 4099]),
     st.sampled_from([1, 4, 7]),
     st.integers(1, 3),
 )
+@example(seed=1, rows=512, per_bin=300, groups=4, dim=2)
+@example(seed=2, rows=512, per_bin=13, groups=7, dim=1)
 def test_binned_lse_matches_dense_reference_across_panel_edges(seed, rows, per_bin, groups, dim):
-    # panels hold _PANEL // rows centers, which 13 and 4099 do not divide,
-    # so panel edges fall inside bins; far rows underflow every bin and go
-    # through the fallback, in chunks of _PANEL // count rows
+    # panels take whole bins where one fits in _PANEL // rows centers (nine
+    # 13-center bins to a 117-wide panel at 512 rows), else split each bin
+    # into near-equal panels (300 into three of 100 at 512 rows, 4099 into
+    # 38 uneven ones at 600); far rows underflow every bin and go through
+    # the fallback, in chunks of _PANEL // count rows
     rng = np.random.default_rng(seed)
     centers = complex_normal(rng, (groups * per_bin, dim), var=3.0)
     z = complex_normal(rng, (rows, dim), var=5.0)
@@ -171,6 +178,50 @@ def test_nearest_matches_dense_argmin_across_panel_edges(seed, rows, count, dim)
     got = _nearest(z, _image(centers))
     assert got.dtype == np.intp and got.shape == (rows,)
     assert np.array_equal(got, np.argmin(sq, axis=1))
+
+
+def _first_within_slack(z, centers):
+    """The tie rule by brute force: the first center whose direct squared
+    distance is within 1e-12 (|z|^2 + max |c|^2) of the row's least."""
+    sq = np.sum(np.abs(z[:, None, :] - centers[None]) ** 2, axis=2)
+    c_max = np.max(np.sum(np.abs(centers) ** 2, axis=1))
+    slack = 1e-12 * (np.sum(np.abs(z) ** 2, axis=1) + c_max)
+    return np.argmax(sq <= (sq.min(axis=1) + slack)[:, None], axis=1)
+
+
+@pytest.mark.parametrize("gap, later", [(5e-11, False), (1e-9, True)])
+def test_nearest_later_panel_best_within_slack_keeps_earlier_center(gap, later):
+    # a full batch streams 128-center panels; center 5 (panel 0) is 1 from
+    # the origin and center 130 (panel 1) is 1 - gap, against a slack of
+    # 1e-12 * max |c|^2 = 1e-10: within it the rise in panel 1 is a tie and
+    # the earlier center wins, past it the later one does
+    width = _PANEL // _SAMPLE_BATCH
+    centers = np.full((2 * width, 1), 10.0 + 0j)
+    centers[5] = 1.0
+    centers[width + 2] = math.sqrt(1.0 - gap)
+    z = np.zeros((_SAMPLE_BATCH, 1), dtype=complex)
+    got = _nearest(z, _image(centers))
+    assert np.array_equal(got, _first_within_slack(z, centers))
+    assert np.all(got == (width + 2 if later else 5))
+
+
+def test_nearest_center_exactly_at_the_slack_floor_is_tied():
+    # the earlier center's value is exactly the floor best - slack, rounded
+    # so that best minus it exceeds the slack: it still ties, as the
+    # threshold of the tie rule is the rounded floor, not the difference
+    width = _PANEL // _SAMPLE_BATCH
+    for far in np.linspace(10.0, 11.0, 101):
+        # the kernel's slack at z = 0 is 1e-12 * max |c|^2 = 1e-12 * far^2
+        slack = 1e-12 * (far * far)
+        floor = -1.0 - slack
+        if -1.0 - floor > slack:
+            break
+    centers = np.full((2 * width, 1), far + 0j)
+    centers[5] = complex(1.0, math.sqrt(-floor - 1.0))
+    centers[width + 2] = 1.0
+    image = _image(centers)
+    assert image[5, -2] == floor and -1.0 - floor > slack
+    assert np.all(_nearest(np.zeros((_SAMPLE_BATCH, 1), dtype=complex), image) == 5)
 
 
 def _default_n8_book():

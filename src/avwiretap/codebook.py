@@ -194,10 +194,15 @@ class Codebook:
         The book keeps the whole-book image for the last trace it was
         observed through (an ``EveTrace`` is immutable, so it is keyed by
         identity) and builds it on the first request for that trace: each
-        codeword goes through ``eve_observe`` once per trace."""
+        codeword goes through ``eve_observe`` once per trace, at most
+        ``_PANEL`` codeword entries at a time."""
         rows = slice(None) if i is None else self._bin_rows(i)
         if self._eve is None or self._eve[0] is not trace:
-            image = _book_image(self.codewords, lambda c: eve_observe(c, trace))
+            image = np.empty((self.size, 2 * trace.n_eve * self.n + 2))
+            step = max(1, _PANEL // self.codewords[0].size)
+            for s in range(0, self.size, step):
+                clean = eve_observe(self.codewords[s : s + step], trace)
+                _image(clean.reshape(clean.shape[0], -1), image[s : s + step])
             object.__setattr__(self, "_eve", (trace, image))
         return self._eve[1][rows]
 
@@ -266,7 +271,7 @@ _SAMPLE_BATCH = 512
 # Entries (float64 or complex) of every streamed buffer: the distance panel
 # that ``_binned_lse`` and ``_nearest`` stream the centers through (512 KB,
 # so a panel stays in L2 from its GEMM to its reduction), the sampler's
-# candidate chunk and the observation chunk of ``_book_image``.
+# candidate chunk and the observation chunk of ``Codebook.eve_image``.
 _PANEL = 2**16
 # A bin whose shift-free exp-sum falls below this has lost precision to
 # underflow (its nearest center is hundreds of units away), so its row is
@@ -288,20 +293,6 @@ def _image(centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return image
 
 
-def _book_image(codewords: np.ndarray, observe, out: np.ndarray | None = None) -> np.ndarray:
-    """``_image`` of the clean observations ``observe(c)`` (count, ...) of
-    codewords (count, n_tx, n), into one (count, 2 dim + 2) array (``out``
-    when given), observing at most ``_PANEL`` codeword entries at a time."""
-    step = max(1, _PANEL // codewords[0].size)
-    for s in range(0, codewords.shape[0], step):
-        clean = observe(codewords[s : s + step])
-        clean = clean.reshape(clean.shape[0], -1)
-        if out is None:
-            out = np.empty((codewords.shape[0], 2 * clean.shape[1] + 2))
-        _image(clean, out[s : s + clean.shape[0]])
-    return out
-
-
 def _augment(z_flat: np.ndarray) -> np.ndarray:
     """Complex rows (rows, dim) as the real augmented rows (rows, 2 dim + 2)
     [re z | im z | 1 | |z|^2]: their product with an image row is
@@ -315,15 +306,18 @@ def _augment(z_flat: np.ndarray) -> np.ndarray:
     return z
 
 
-def _panels(z: np.ndarray, image: np.ndarray, buf: np.ndarray, spans):
-    """(first center, -|z - c|^2 for the panel's centers) for each (first
-    center, width) of ``spans``, written by one GEMM of the augmented rows z
-    against that slice of the image into a contiguous (rows, width) view of
-    the flat buffer ``buf``."""
+def _panels(z: np.ndarray, image: np.ndarray, buf: np.ndarray, spans, bias=None):
+    """(first center, the rows' products with the panel's centers, plus
+    their ``bias`` when given) for each (first center, width) of ``spans``,
+    written by one GEMM of the rows z against that slice of the image into a
+    contiguous (rows, width) view of the flat buffer ``buf``.  For augmented
+    rows against an ``_image`` the products are -|z - c|^2."""
     rows = z.shape[0]
     for start, width in spans:
         d = buf[: rows * width].reshape(rows, width)
         np.matmul(z, image[start : start + width].T, out=d)
+        if bias is not None:
+            d += bias[start : start + width]
         yield start, d
 
 
@@ -386,11 +380,16 @@ def _binned_lse(z_flat: np.ndarray, image: np.ndarray, groups: int) -> np.ndarra
     return out
 
 
-def _nearest(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Index of the nearest ``_image`` center per row, ties to the smallest
-    index; the expanded distance rounds differently per center, even for
-    equal centers, so distances within 1e-12 of the squared norms count as
-    tied.
+def _nearest(z: np.ndarray, centers: np.ndarray, bias=None, norms=None) -> np.ndarray:
+    """Index of the best-scoring center per row, ties to the smallest index.
+
+    Without ``bias``, z holds complex rows (rows, dim), the centers are an
+    ``_image`` and the score is -|z - c|^2.  With ``bias`` (count,), z holds
+    real rows, the centers real rows of the same width, and the score is
+    z . c + bias[c]; ``norms`` (rows,) then stands in for |z|^2 and -bias
+    for |c|^2 in the slack.  The expanded score rounds differently per
+    center, even for equal centers, so scores within 1e-12 of the squared
+    norms (|z|^2 plus the largest |c|^2) count as tied.
 
     Rows go in batches of at most ``_SAMPLE_BATCH``, and each batch streams
     the centers through one reused buffer of at most ``_PANEL`` entries.
@@ -401,21 +400,25 @@ def _nearest(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
     the centers again, to find the first center within the slack of the
     final best; both passes make the same GEMMs, so they see the same
     values."""
-    rows, count = z_flat.shape[0], image.shape[0]
-    c_max = -np.min(image[:, -2])
+    rows, count = z.shape[0], centers.shape[0]
+    c_max = -np.min(centers[:, -2] if bias is None else bias)
     batch = min(rows, _SAMPLE_BATCH)
     width = min(count, max(1, _PANEL // max(batch, 1)))
     spans = _even_spans(count, width)
     buf = np.empty(batch * width)
     out = np.empty(rows, dtype=np.intp)
     for s in range(0, rows, _SAMPLE_BATCH):
-        z = _augment(z_flat[s : s + _SAMPLE_BATCH])
-        slack = 1e-12 * (z[:, -1] + c_max)
-        best = np.full(z.shape[0], -np.inf)
-        found = out[s : s + z.shape[0]]
+        if bias is None:
+            zb = _augment(z[s : s + _SAMPLE_BATCH])
+            slack = 1e-12 * (zb[:, -1] + c_max)
+        else:
+            zb = z[s : s + _SAMPLE_BATCH]
+            slack = 1e-12 * (norms[s : s + _SAMPLE_BATCH] + c_max)
+        best = np.full(zb.shape[0], -np.inf)
+        found = out[s : s + zb.shape[0]]
         found.fill(0)
-        close = np.zeros(z.shape[0], dtype=bool)
-        for start, d in _panels(z, image, buf, spans):
+        close = np.zeros(zb.shape[0], dtype=bool)
+        for start, d in _panels(zb, centers, buf, spans, bias):
             top = d.max(axis=1)
             rise = top > best
             if rise.any():
@@ -430,7 +433,7 @@ def _nearest(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
             continue
         best -= slack
         found[close] = -1
-        for start, d in _panels(z, image, buf, spans):
+        for start, d in _panels(zb, centers, buf, spans, bias):
             hit = d >= best[:, None]
             new = (found < 0) & hit.any(axis=1)
             found[new] = start + np.argmax(hit[new], axis=1)
@@ -439,13 +442,38 @@ def _nearest(z_flat: np.ndarray, image: np.ndarray) -> np.ndarray:
     return out
 
 
+def _neg_energy(codewords: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """-|A c|^2 of each codeword c (count, n_tx, n), given the Gram matrix
+    G = A^H A: the sum over antenna pairs of G_ij sum_t conj(c_it) c_jt,
+    taken on float views of the antennas, so no per-codeword copy is built."""
+    f = codewords.view(np.float64)  # (count, n_tx, 2n), [re, im] per use
+    re, im = f[..., 0::2], f[..., 1::2]
+    out = np.zeros(codewords.shape[0])
+    for i in range(codewords.shape[1]):
+        out -= gram[i, i].real * np.einsum("kt,kt->k", f[:, i], f[:, i])
+        for j in range(i + 1, codewords.shape[1]):
+            # the (i, j) and (j, i) terms: 2 Re(G_ij S_ij)
+            s_re = np.einsum("kt,kt->k", f[:, i], f[:, j])
+            s_im = np.einsum("kt,kt->k", re[:, i], im[:, j])
+            s_im -= np.einsum("kt,kt->k", im[:, i], re[:, j])
+            out -= 2.0 * (gram[i, j].real * s_re - gram[i, j].imag * s_im)
+    return out
+
+
 def ml_decode_main(y, ch: MainChannel, cb: Codebook):
     """Maximum-likelihood decoding at the legitimate receiver.
 
     The total noise (thermal plus forwarded artificial noise) is colored,
-    so the likelihood is the whitened distance; minimum wins, ties go to
-    the smallest label in row-major order.  One observation (n_rx, n)
-    gives the label (i, j); a batch (..., n_rx, n) gives arrays i and j.
+    so the likelihood is the whitened distance |z - A c|^2, with z = W y
+    the whitened observation and A = W h.  Minimum wins, ties go to the
+    smallest label in row-major order.  One observation (n_rx, n) gives the
+    label (i, j); a batch (..., n_rx, n) gives arrays i and j.
+
+    The codewords are scored in the input space, as the book's own float
+    view, against the back-projected rows 2 A^H z: the score
+    2 Re<A^H z, c> - |A c|^2 is |z|^2 - |z - A c|^2.  The bias -|A c|^2
+    comes from the Gram matrix A^H A, and ``_nearest`` counts scores within
+    1e-12 (|z|^2 + max |A c|^2) of the best as tied.
     """
     y = as_complex_matrix(y, stacked=True)
     if y.shape[-2:] != (ch.n_rx, cb.n):
@@ -454,12 +482,13 @@ def ml_decode_main(y, ch: MainChannel, cb: Codebook):
         raise DimensionError("channel and codebook disagree on transmit antennas")
     chol = np.linalg.cholesky(effective_noise_cov(ch))
     whiten = np.linalg.inv(chol)
-    whitened_h = whiten @ ch.h
-    # the image in use-major (n, n_rx) order, one zgemm per chunk, and the
-    # whitened observations flattened in the same order
-    image = _book_image(cb.codewords, lambda c: np.tensordot(c, whitened_h, axes=([1], [1])))
-    z_flat = (whiten @ y).swapaxes(-1, -2).reshape(-1, ch.n_rx * cb.n)
-    k = _nearest(z_flat, image).reshape(y.shape[:-2])
+    a_h = (whiten @ ch.h).conj().T
+    z = whiten @ y
+    z_f = z.reshape(-1, ch.n_rx * cb.n).view(np.float64)
+    rows = (2.0 * a_h @ z).reshape(-1, cb.n_tx * cb.n).view(np.float64)
+    centers = cb.codewords.reshape(cb.size, -1).view(np.float64)
+    bias = _neg_energy(cb.codewords, a_h @ a_h.conj().T)
+    k = _nearest(rows, centers, bias, np.einsum("ij,ij->i", z_f, z_f)).reshape(y.shape[:-2])
     return divmod(int(k), cb.per_bin) if y.ndim == 2 else np.divmod(k, cb.per_bin)
 
 

@@ -1,8 +1,11 @@
 """Property tests for the batched decoders: every observation of a batch is
 decoded as a direct per-observation argmin of its own distance would decode
-it, ties included, and across more than one chunk of the distance kernel.
-Also the book's eavesdropper image: built once per (book, trace), bin by
-bin as bins are asked for, over read-only codewords."""
+it, ties included, and across more than one chunk of the distance kernel;
+the main decoder also where its input-space score rounds differently from
+the whitened distance: an ill-conditioned channel, non-square channels, a
+complex off-diagonal Gram matrix and a tie across a panel edge.  Also the
+book's eavesdropper image: built once per (book, trace), bin by bin as bins
+are asked for, over read-only codewords, and never by the main decoder."""
 
 import math
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from avwiretap import codebook
 from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe
 from avwiretap.codebook import (
+    _PANEL,
     _SAMPLE_BATCH,
     BinningParams,
     Codebook,
@@ -130,6 +134,84 @@ def test_batch_longer_than_one_chunk(rng):
     assert eve_bin_decode(z, bins, trace, cb).tolist() == _reference_eve(z, bins, trace, cb)
 
 
+def _check_main(rng, ch, cb, noise):
+    """Decode one batch of noisy observations (one noise scale per row) of
+    random labels and compare with ``_reference_main``; returns the labels
+    and the decoded (i, j) pairs."""
+    labels = rng.integers(cb.size, size=len(noise))
+    y = ch.h @ cb.codewords[labels]
+    y += np.reshape(noise, (-1, 1, 1)) * complex_normal(rng, y.shape)
+    i_hat, j_hat = ml_decode_main(y, ch, cb)
+    got = list(zip(i_hat.tolist(), j_hat.tolist()))
+    assert got == _reference_main(y, ch, cb)
+    return labels, got
+
+
+def _unitary(rng, k):
+    q, _ = np.linalg.qr(complex_normal(rng, (k, k)))
+    return q
+
+
+CHANNELS = {
+    # singular values 1e3 and 1e-3
+    "ill-conditioned": lambda rng: (
+        _unitary(rng, 2) @ np.diag([1e3, 1e-3]) @ _unitary(rng, 2).conj().T
+    ),
+    "1x2": lambda rng: complex_normal(rng, (1, 2)),
+    "3x2": lambda rng: complex_normal(rng, (3, 2)),
+    # the whitened Gram matrix's off-diagonal entry is 0.098 + 0.137j
+    "complex-gram": lambda rng: np.array([[1.0, 0.8j], [0.5 - 0.3j, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("kind", CHANNELS)
+def test_main_decode_rounding_sensitive_channels(rng, kind):
+    ch = MainChannel(CHANNELS[kind](rng))
+    cb = _book(rng, 4, 16, 2, 3, duplicate=True)
+    for scale in (0.0, 0.3, 3.0):
+        _check_main(rng, ch, cb, np.full(40, scale))
+
+
+def test_main_decode_tie_across_a_panel_edge(rng):
+    # 50 rows stream the centers in panels of _PANEL // 50 = 1310, so
+    # codewords 0 and 1400 (equal) lie in different panels
+    assert _PANEL // 50 < 1400 < 2 * (_PANEL // 50)
+    cw = complex_normal(rng, (1600, 2, 3))
+    cw[1400] = cw[0]
+    pc = PowerConfig(pbar=1e12, eps_p=0.0, n_tx=2)
+    cb = Codebook(codewords=cw, n_bins=2, per_bin=800, mode="weak", pc=pc)
+    ch = MainChannel(complex_normal(rng, (2, 2)))
+    noise = np.where(np.arange(50) < 20, 0.0, 0.3)
+    for _ in range(3):
+        labels, got = _check_main(rng, ch, cb, noise)
+        assert all(got[r] == (0, 0) for r in range(20) if labels[r] in (0, 1400))
+    # the copy itself, clean: the smallest label wins
+    i_hat, j_hat = ml_decode_main(np.stack([ch.h @ cw[1400]] * 50), ch, cb)
+    assert not i_hat.any() and not j_hat.any()
+    # a later near-copy that scores better by about 1e-13 of |z|^2 is
+    # within the slack 1e-12 (|z|^2 + max |A c|^2), so the earlier codeword
+    # still wins; one better by about 1e-10 of it is not, unless a loud
+    # codeword elsewhere in the book or a loud observation (y scaled by
+    # gain) widens the slack.  Codeword 0 is made the loudest, so that its
+    # near-copy stays the best also against a loud observation along it.
+    cw[0] *= 10.0
+    quiet = cw[1599].copy()
+    cases = [
+        # (near-copy scale, loud codeword's scale, gain, decoded label)
+        (1.0 + 3e-7, 1.0, 1.0, (0, 0)),
+        (1.0 + 1e-5, 1.0, 1.0, (1, 600)),
+        (1.0 + 1e-5, 1e4, 1.0, (0, 0)),
+        (1.0 + 1e-10, 1.0, 1e4, (0, 0)),
+        (1.0 + 1e-4, 1.0, 1.0, (1, 600)),
+    ]
+    for scale, loud, gain, label in cases:
+        cw[1400] = scale * cw[0]
+        cw[1599] = loud * quiet
+        cb = Codebook(codewords=cw, n_bins=2, per_bin=800, mode="weak", pc=pc)
+        i_hat, j_hat = ml_decode_main(np.stack([gain * ch.h @ cw[1400]] * 50), ch, cb)
+        assert set(zip(i_hat.tolist(), j_hat.tolist())) == {label}
+
+
 def test_single_observation_types(rng):
     cb = _book(rng, 2, 3, 2, 2, duplicate=False)
     ch = MainChannel(np.eye(2))
@@ -220,3 +302,22 @@ def test_codewords_read_only_and_bins_checked(rng):
             eve_bin_decode(np.zeros((1, 2)), bad, trace, cb)
         with pytest.raises(ValueError, match="out of range"):
             estimate_variational_distance(cb, trace, [bad], 4, rng)
+
+
+def test_main_decoder_builds_no_book_image(monkeypatch, rng):
+    cb = _book(rng, 2, 8, 2, 3, duplicate=True)
+    ch = MainChannel(complex_normal(rng, (2, 2)))
+    labels = rng.integers(cb.size, size=40)
+    y = ch.h @ cb.codewords[labels] + complex_normal(rng, (40, 2, 3))
+    expected = _reference_main(y, ch, cb)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the main decoder built an image of the book")
+
+    # the codewords are scored as they are, against back-projected rows
+    monkeypatch.setattr(codebook, "_image", refuse)
+    monkeypatch.setattr(codebook, "_augment", refuse)
+    monkeypatch.setattr(Codebook, "eve_image", refuse)
+    i_hat, j_hat = ml_decode_main(y, ch, cb)
+    assert list(zip(i_hat.tolist(), j_hat.tolist())) == expected
+    estimate_decode_error(cb, ch, 40, rng)

@@ -252,10 +252,11 @@ def test_sampler_and_main_decoder_stream_the_default_book():
     ch = MainChannel(np.eye(2))
     y = main_observe(transmit(cb.codewords[rng.integers(cb.size, size=50)], rng), ch, rng)
     _, peak = _traced_peak(ml_decode_main, y, ch, cb)
-    # the (16384, 34) image (4.5 MB), its 1 MB observation chunk and the
-    # 512 KB panel; transposed copies of the book and a (50, 16384)
-    # distance matrix took 16 MB
-    assert peak < 8e6
+    # the 512 KB panel, the (16384,) Gram bias and its einsum temporaries;
+    # the codewords are scored as the book's own float view, where a whole
+    # (16384, 34) whitened image of the book with its observation chunk
+    # took 7.6 MB
+    assert peak < 2e6
 
 
 def _reference_leakage_mi(cb, trace, samples, rng):

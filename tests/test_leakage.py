@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
 from avwiretap.channel import EveTrace, MainChannel, PowerConfig, eve_observe, transmit
 from avwiretap.codebook import (
@@ -10,6 +11,7 @@ from avwiretap.codebook import (
     Codebook,
     ToyScaleError,
     binning_params,
+    codebook_ensemble,
     eve_bin_decode,
     mean_stderr,
     sample_codebook,
@@ -91,13 +93,17 @@ def test_info_density_tail_needs_two_trials_for_its_stderr(rng):
     assert np.isfinite(scan.mean_stderr[0]) and scan.mean_stderr[0] > 0
 
 
-def _strong_setup(rng, n, delta_n=0.5, delta_prime=0.25):
+def _strong_params(n, delta_n=0.5, delta_prime=0.25):
     pc = _pc()
     ch = MainChannel(np.eye(2))
-    bp = binning_params(
+    return pc, binning_params(
         main_mutual_info(ch, pc), math.log2(pc.p_prime), n=n,
         delta_n=delta_n, delta_prime=delta_prime, mode="strong",
     )
+
+
+def _strong_setup(rng, n, delta_n=0.5, delta_prime=0.25):
+    pc, bp = _strong_params(n, delta_n, delta_prime)
     cb = sample_codebook(bp, pc, rng)
     trace = EveTrace.random(1, 2, n, rng)
     return pc, cb, trace
@@ -154,15 +160,27 @@ def test_variational_distance_falls_with_bin_size(rng):
 
 
 def test_variational_distance_nonincreasing_in_blocklength(rng):
+    # Each point is the mean estimate over fresh books, with its standard
+    # error from the spread across them: one book's estimate varies from book
+    # to book far more than its own Monte Carlo error says.  A step fails on
+    # a rise past the one-sided Welch critical value at level alpha, taken
+    # with books - 1 degrees of freedom (the fewest Welch's statistic has),
+    # so each step's false-alarm rate is at most alpha where the means are equal.
+    books, samples, alpha = 48, 100, 0.01
+    critical = student_t.ppf(1.0 - alpha, books - 1)
     prev = None
     for n in (2, 4, 8):
-        _, cb, trace = _strong_setup(rng, n)
-        est = estimate_variational_distance(
-            cb, trace, range(min(cb.n_bins, 4)), 1500, rng
+        pc, bp = _strong_params(n)
+        trace = EveTrace.random(1, 2, n, rng)
+        point = codebook_ensemble(
+            bp, pc, books, rng,
+            lambda cb: estimate_variational_distance(
+                cb, trace, range(min(cb.n_bins, 4)), samples, rng
+            ).d_hat,
         )
         if prev is not None:
-            assert est.d_hat <= prev.d_hat + 3 * math.hypot(est.stderr, prev.stderr)
-        prev = est
+            assert point[0] <= prev[0] + critical * math.hypot(point[1], prev[1]), (n, prev, point)
+        prev = point
 
 
 def test_variational_distance_respects_caps(rng):

@@ -19,11 +19,6 @@ import numpy as np
 RANK_RTOL = 1e-8
 # Max-entry tolerance for orthonormal-row eavesdropper matrices.
 ORTHO_TOL = 1e-9
-# Fewest one-row states that canonicalize_eve reduces in closed form: below
-# it the batched SVD is cheaper than the closed form's fixed cost of about
-# 40 array operations (at 8 states 21 us against 48 us; they cross near 32).
-CLOSED_FORM_MIN_STATES = 32
-
 
 class DimensionError(ValueError):
     """Operand shapes do not line up."""
@@ -132,46 +127,6 @@ def _unit_scaled(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reflector_rows(h: np.ndarray) -> np.ndarray:
-    """Canonical form of a stack of one-row states (..., 1, n_tx): the first
-    right-singular row LAPACK's SVD (``zgesdd``) returns, without an SVD.
-
-    A 1 x 1 state gives [[1]].  For n_tx >= 2 the row is the first row of
-    the LQ factor's Q, one Householder reflector (``zlarfg`` and ``zungl2``):
-    v = h / beta with beta = -copysign(|h|, Re h_0), or v = e_1 (no
-    reflection) when the tail h_1.. is zero and h_0 is real, a zero row
-    included.  The arithmetic below is LAPACK's step for step, with the tail
-    norm summed in extended precision as OpenBLAS's x86-64 ``dznrm2`` does,
-    so there the rows agree bit for bit, and elsewhere to rounding.  Rows
-    are first brought into range by ``_unit_scaled``, which changes no ratio
-    below.
-    """
-    if h.shape[-1] == 1:
-        return np.ones_like(h)
-    row = _unit_scaled(h)[..., 0, :]
-    flat = ~np.any(row[..., 1:], axis=-1) & (row[..., 0].imag == 0)
-    # the reflector works on conj(h): head alpha = ar + i ai, tail x = xr + i xi
-    ar, ai, xr, xi = row[..., :1].real, -row[..., :1].imag, row[..., 1:].real, -row[..., 1:].imag
-    wide = np.longdouble
-    xn = np.sqrt(np.sum(np.square(xr, dtype=wide), axis=-1, keepdims=True)
-                 + np.sum(np.square(xi, dtype=wide), axis=-1, keepdims=True))
-    xnorm = xn.astype(float)
-    w = np.maximum(np.maximum(np.abs(ar), np.abs(ai)), xnorm)  # dlapy3's scale
-    with np.errstate(divide="ignore", invalid="ignore"):  # flat rows are replaced
-        beta = -np.copysign(w * np.sqrt((ar / w) ** 2 + (ai / w) ** 2 + (xnorm / w) ** 2), ar)
-        tr, ti = (beta - ar) / beta, -ai / beta  # tau
-        c = ar - beta  # s = 1 / (alpha - beta) = sr - i rs, by dladiv
-        r = ai / c
-        sr = 1.0 / (c + ai * r)
-        rs = r * sr
-        vr, vi = sr * xr + rs * xi, sr * xi - rs * xr  # v = s x
-        q = np.empty_like(row)  # Q's first row: 1 - conj(tau), conj(-tau v)
-        q.real[..., :1], q.imag[..., :1] = 1.0 - tr, ti
-        q.real[..., 1:], q.imag[..., 1:] = ti * vi - tr * vr, tr * vi + ti * vr
-    q[flat] = np.eye(1, row.shape[-1])[0]
-    return q[..., None, :]
-
-
 def canonicalize_eve(h_raw):
     """Reduce raw eavesdropper matrices to canonical orthonormal-row form.
 
@@ -181,25 +136,37 @@ def canonicalize_eve(h_raw):
     eavesdropper.  Takes one (n_eve, n_tx) matrix or a stack of them and
     returns an array of the same shape.  Matrices are first brought into
     range by ``_unit_scaled``; one that is then canonical is kept as it is.
-    Every other matrix is replaced by its leading right-singular rows, from
-    one batched SVD; a stack of at least ``CLOSED_FORM_MIN_STATES`` one-row
-    states (n_eve = 1) gets the row LAPACK's SVD returns in closed form instead
-    (``_reflector_rows``).  The closed form keeps LAPACK's sign and phase,
-    not any other unit multiple of the row, so seeded draws keep the values
-    the SVD gave them.  The result is not checked again: its kept members
-    passed the orthonormality test and the others are unit or SVD rows.
+    Every other matrix takes one of two paths, chosen by its shape:
+
+    - n_eve = 1: the row h becomes h / beta with beta = -copysign(|h|,
+      Re h_0), the sign LAPACK's SVD gives it.  A row whose tail h_1.. is
+      zero and whose head h_0 is real, a zero row included, becomes e_1,
+      and a 1 x 1 state becomes [[1]], as LAPACK gives them too.
+    - n_eve >= 2: its leading right-singular rows, from one batched SVD.
+
+    Any orthonormal basis of the row space gives the same observation law;
+    the closed form follows LAPACK's convention so that it agrees with the
+    SVD's row to rounding (not bit for bit).  The result is not checked
+    again: its kept members passed the orthonormality test and the others
+    are unit or SVD rows.
     """
     h = _unit_scaled(_eve_stack(h_raw, canonical=False))
     keep = _gram_deviation(h) <= ORTHO_TOL
-    if not np.all(keep):
-        if h.shape[-2] == 1 and keep.size >= CLOSED_FORM_MIN_STATES:
-            vh = _reflector_rows(h)
-        else:
-            # Right-singular rows: the first rank(h) of them span the row space,
-            # the remainder are the orthonormal completion for deficient rows.
-            vh = np.linalg.svd(h, full_matrices=True)[2][..., : h.shape[-2], :]
-        h = np.where(keep[..., None, None], h, vh)
-    return h
+    if np.all(keep):
+        return h
+    n_eve, n_tx = h.shape[-2:]
+    if n_eve >= 2:
+        # Right-singular rows: the first rank(h) of them span the row space,
+        # the remainder are the orthonormal completion for deficient rows.
+        vh = np.linalg.svd(h, full_matrices=True)[2][..., :n_eve, :]
+    elif n_tx == 1:
+        vh = np.ones_like(h)
+    else:
+        beta = -np.copysign(np.linalg.norm(h, axis=-1, keepdims=True), h[..., :1].real)
+        with np.errstate(invalid="ignore"):  # a zero row gives nan here, then e_1
+            vh = h / beta
+        vh[~np.any(h[..., 1:], axis=-1) & (h[..., 0].imag == 0)] = np.eye(1, n_tx)
+    return np.where(keep[..., None, None], h, vh)
 
 
 def random_eve_state(n_eve: int, n_tx: int, rng) -> np.ndarray:
@@ -230,12 +197,6 @@ class EveTrace:
     @classmethod
     def random(cls, n_eve: int, n_tx: int, n: int, rng) -> "EveTrace":
         return cls(canonicalize_eve(complex_normal(rng, (n, n_eve, n_tx))))
-
-    @property
-    def states(self) -> tuple:
-        """The per-use (n_eve, n_tx) matrices: read-only views of ``stacked``,
-        already checked, so no copy per use."""
-        return tuple(self.stacked)
 
     @property
     def n(self) -> int:

@@ -180,7 +180,7 @@ def test_criterion_07_perturbation_bound(m):
     applicable = 0
     for _ in range(10_000):
         trace = EveTrace.random(n_eve, n_tx, n, rng)
-        grid = np.stack([quantize_eve(st, m) for st in trace.states])
+        grid = quantize_eve(trace.stacked, m)
         while True:
             x = complex_normal(rng, (n_tx, n), var=p / n_tx)
             if np.sum(np.abs(x) ** 2) / n <= p:

@@ -197,15 +197,13 @@ def test_batched_perturbation_matches_per_instance_loop(batch, two_axes):
     assert all(type(c.applicable) is bool and type(c.lhs) is float for c in loop)
 
 
-def test_trace_states_are_read_only_views_of_the_stack(rng):
+def test_trace_stack_is_read_only(rng):
     trace = EveTrace.random(2, 3, 5, rng)
-    states = trace.states
-    assert len(states) == trace.n
-    for i, state in enumerate(states):
-        assert isinstance(state, np.ndarray) and state.shape == (2, 3)
-        assert not state.flags.writeable
-        assert np.shares_memory(state, trace.stacked)
-        assert np.array_equal(state, trace.stacked[i])
+    assert trace.stacked.shape == (5, 2, 3)
+    assert not trace.stacked.flags.writeable
+    assert not trace.stacked[0].flags.writeable
+    with pytest.raises(ValueError):
+        trace.stacked[0, 0, 0] = 0
 
 
 @st.composite

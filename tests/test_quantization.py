@@ -81,7 +81,7 @@ def test_loglik_drift_bound_values():
 
 def _admissible_instance(rng, n, n_tx, n_eve, p, m):
     trace_a = EveTrace.random(n_eve, n_tx, n, rng)
-    grid_states = np.stack([quantize_eve(st, m) for st in trace_a.states])
+    grid_states = quantize_eve(trace_a.stacked, m)
     while True:
         x = complex_normal(rng, (n_tx, n), var=p / n_tx)
         if np.sum(np.abs(x) ** 2) / n <= p:
@@ -115,7 +115,7 @@ def test_perturbation_check_coerces_each_operand_once(rng, monkeypatch):
 def test_perturbation_check_zero_codeword(rng):
     n = 8
     trace_a = EveTrace.random(1, 2, n, rng)
-    grid = np.stack([quantize_eve(st, 100) for st in trace_a.states])
+    grid = quantize_eve(trace_a.stacked, 100)
     z = complex_normal(rng, (1, n))
     res = check_loglik_perturbation(np.zeros((2, n)), z, trace_a, grid, p=8.0, m=100, eps=0.1)
     assert res.applicable and res.holds

@@ -1,16 +1,12 @@
-"""The closed-form canonicalization of one-row eavesdropper states: the row
-LAPACK's SVD returns, without an SVD, at every scale and sign of zero."""
+"""The closed-form canonicalization of one-row eavesdropper states, h / beta
+with LAPACK's sign: the row LAPACK's SVD returns, to rounding and without an
+SVD, at every stack size, scale and sign of zero.  States with two or more
+rows keep the batched SVD, bit for bit."""
 
 import numpy as np
 import pytest
 
-from avwiretap.channel import (
-    CLOSED_FORM_MIN_STATES,
-    EveTrace,
-    _reflector_rows,
-    canonicalize_eve,
-    complex_normal,
-)
+from avwiretap.channel import EveTrace, canonicalize_eve, complex_normal, random_eve_state
 
 # Max distance from LAPACK's right-singular row, and max Gram deviation.
 ROW_TOL = 4e-15
@@ -60,7 +56,7 @@ def _edge_row(row, power, n_tx=None):
 @pytest.mark.parametrize("row, power", EDGE_ROWS)
 def test_edge_rows_are_orthonormal_and_span_the_row(row, power):
     base, h = _edge_row(row, power)
-    v = _reflector_rows(h[None])[0]
+    v = canonicalize_eve(h)
     assert np.all(np.isfinite(v.view(float)))
     assert _gram_deviation(v) <= ROW_TOL
     # v spans the row: v is a multiple of it (any unit row spans a zero row)
@@ -70,10 +66,8 @@ def test_edge_rows_are_orthonormal_and_span_the_row(row, power):
 
 
 def test_edge_rows_in_one_stack_match_each_row_alone():
-    # twice over, so the stack is long enough to take the closed form
-    rows = 2 * [_edge_row(row, power, n_tx=3)[1] for row, power in EDGE_ROWS if len(row) > 1]
-    assert len(rows) >= CLOSED_FORM_MIN_STATES
-    alone = np.concatenate([_reflector_rows(h[None]) for h in rows])
+    rows = [_edge_row(row, power, n_tx=3)[1] for row, power in EDGE_ROWS if len(row) > 1]
+    alone = np.stack([canonicalize_eve(h) for h in rows])
     assert np.array_equal(canonicalize_eve(np.stack(rows)), alone)
 
 
@@ -89,6 +83,10 @@ def test_one_row_stacks_need_no_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     rng = np.random.default_rng(3)
-    states = canonicalize_eve(complex_normal(rng, (16000, 1, 2)))
-    assert states.shape == (16000, 1, 2) and _gram_deviation(states) <= ROW_TOL
+    # large and small stacks, one 2-D state, and 1 x 1 states
+    for shape in [(16000, 1, 2), (32, 1, 2), (31, 1, 3), (8, 1, 2), (2, 1, 4), (1, 1, 2),
+                  (1, 2), (5, 1, 1)]:
+        states = canonicalize_eve(complex_normal(rng, shape))
+        assert states.shape == shape and _gram_deviation(states) <= ROW_TOL
+        assert random_eve_state(1, shape[-1], rng).shape == (1, shape[-1])
     assert EveTrace.random(1, 2, 50, rng).n == 50

@@ -43,6 +43,8 @@ from .rates import main_mutual_info
 # Family-wise false-alarm rate of each exact-law row: the density row across
 # its blocklengths, the output-invariance row across its four tests.
 DENSITY_LAW_ALPHA = 1e-3
+# Fresh codebooks behind each point of the resolvability row.
+RESOLVABILITY_BOOKS = 4
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,11 @@ def perturbation_scan(
     random instances (state sequence snapped to the grid), as one batch."""
     states = canonicalize_eve(complex_normal(rng, (instances, n, n_eve, n_tx)))
     grid = quantize_eve(states, m)
-    x = complex_normal(rng, (instances, n_tx, n), var=p / n_tx)
-    # power-cap rejection: redraw only the rows over the cap
-    over = np.sum(np.abs(x) ** 2, axis=(1, 2)) / n > p
-    while np.any(over):
-        redraw = (int(np.count_nonzero(over)), n_tx, n)
-        x[over] = complex_normal(rng, redraw, var=p / n_tx)
-        over[over] = np.sum(np.abs(x[over]) ** 2, axis=(1, 2)) / n > p
+    # one codeword per bin: a pbar of p + n_tx leaves the code power p, and
+    # eps_p = 0 draws at variance p / n_tx under the cap p
+    inputs = BinningParams(n, math.log2(instances) / n, instances, 1)
+    pc = PowerConfig(pbar=p + n_tx, eps_p=0.0, n_tx=n_tx)
+    x = sample_codebook(inputs, pc, rng).codewords
     z = eve_observe(x, states) + complex_normal(rng, (instances, n_eve, n))
     res = check_loglik_perturbation_batch(x, z, states, grid, p=p, m=m, eps=eps)
     applicable = int(np.count_nonzero(res.applicable))
@@ -233,8 +233,7 @@ def tail_trend_check(pc: PowerConfig, n_eve: int, n_values, trials: int, rng) ->
 def symmetry_check(pc: PowerConfig, n: int, pairs: int, rng) -> CheckResult:
     rate = 0.6
     per_bin = math.ceil(2 ** (n * rate))
-    bp = BinningParams(n=n, rate_bits=rate, n_bins=1, per_bin=per_bin,
-                       delta_n=0.4, delta_prime=0.1, mode="weak")
+    bp = BinningParams(n=n, rate_bits=rate, n_bins=1, per_bin=per_bin)
     passes = 0
     for _ in range(pairs):
         res = eve_error_symmetry_check(
@@ -275,9 +274,7 @@ def shrinkage_trend_check(eps_prime: float, n_values, n_tx: int, n_eve: int) -> 
     )
 
 
-def resolvability_check(
-    pc: PowerConfig, n_values, samples: int, rng, books: int = 4
-) -> CheckResult:
+def resolvability_check(pc: PowerConfig, n_values, samples: int, rng) -> CheckResult:
     """Normalized variational distance nonincreasing in blocklength at the
     saturation-level bin size.
 
@@ -291,9 +288,9 @@ def resolvability_check(
         bp = _saturating_binning(pc, int(n))
         trace = EveTrace.random(1, pc.n_tx, int(n), rng)
         mean, stderr = codebook_ensemble(
-            bp, pc, books, rng,
+            bp, pc, RESOLVABILITY_BOOKS, rng,
             lambda cb: estimate_variational_distance(
-                cb, trace, range(min(cb.n_bins, 4)), max(2, samples // books), rng
+                cb, trace, range(min(cb.n_bins, 4)), max(2, samples // RESOLVABILITY_BOOKS), rng
             ).d_hat,
         )
         point = (float(mean), float(stderr))

@@ -66,17 +66,12 @@ class BinningParams:
     rate_bits: float
     n_bins: int
     per_bin: int
-    delta_n: float
-    delta_prime: float
-    mode: str
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("blocklength must be >= 1")
         if self.n_bins < 1 or self.per_bin < 1:
             raise ValueError("bin counts must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
 
 
 def binning_params(
@@ -121,15 +116,7 @@ def binning_params(
     n_bins = max(1, math.floor(2.0 ** (n * rate) / per_bin))
     if n_bins * per_bin > SAMPLER_CODEWORD_CAP:
         raise ToyScaleError(too_many)
-    return BinningParams(
-        n=n,
-        rate_bits=rate,
-        n_bins=n_bins,
-        per_bin=per_bin,
-        delta_n=delta_n,
-        delta_prime=delta_prime,
-        mode=mode,
-    )
+    return BinningParams(n=n, rate_bits=rate, n_bins=n_bins, per_bin=per_bin)
 
 
 @dataclass(frozen=True)
@@ -143,7 +130,6 @@ class Codebook:
     codewords: np.ndarray  # (count, n_tx, n)
     n_bins: int
     per_bin: int
-    mode: str
     pc: PowerConfig
     # (trace, image of the whole book)
     _eve: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -224,7 +210,6 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
             codewords=np.zeros((total, pc.n_tx, bp.n), dtype=np.complex128),
             n_bins=bp.n_bins,
             per_bin=bp.per_bin,
-            mode=bp.mode,
             pc=pc,
         )
     expected_acceptance = truncation_mass(bp.n, pc.n_tx, pc.p, pc.eps_p)
@@ -261,9 +246,7 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
                 f"pathological configuration: observed acceptance rate "
                 f"{have / drawn:.2e} below 1e-6"
             )
-    return Codebook(
-        codewords=codewords, n_bins=bp.n_bins, per_bin=bp.per_bin, mode=bp.mode, pc=pc
-    )
+    return Codebook(codewords=codewords, n_bins=bp.n_bins, per_bin=bp.per_bin, pc=pc)
 
 
 # Rows (decoder trials or mixture samples) per batch.
@@ -380,16 +363,17 @@ def _binned_lse(z_flat: np.ndarray, image: np.ndarray, groups: int) -> np.ndarra
     return out
 
 
-def _nearest(z: np.ndarray, centers: np.ndarray, bias=None, norms=None) -> np.ndarray:
+def _nearest(
+    z: np.ndarray, centers: np.ndarray, bias: np.ndarray, norms: np.ndarray
+) -> np.ndarray:
     """Index of the best-scoring center per row, ties to the smallest index.
 
-    Without ``bias``, z holds complex rows (rows, dim), the centers are an
-    ``_image`` and the score is -|z - c|^2.  With ``bias`` (count,), z holds
-    real rows, the centers real rows of the same width, and the score is
-    z . c + bias[c]; ``norms`` (rows,) then stands in for |z|^2 and -bias
-    for |c|^2 in the slack.  The expanded score rounds differently per
-    center, even for equal centers, so scores within 1e-12 of the squared
-    norms (|z|^2 plus the largest |c|^2) count as tied.
+    z holds real rows (rows, dim), the centers real rows of the same width
+    and the score is z . c + bias[c], with ``bias`` (count,).  ``norms``
+    (rows,) stands in for |z|^2 and -bias for |c|^2 in the slack: the
+    expanded score rounds differently per center, even for equal centers,
+    so scores within 1e-12 of the squared norms (|z|^2 plus the largest
+    |c|^2) count as tied.
 
     Rows go in batches of at most ``_SAMPLE_BATCH``, and each batch streams
     the centers through one reused buffer of at most ``_PANEL`` entries.
@@ -401,19 +385,15 @@ def _nearest(z: np.ndarray, centers: np.ndarray, bias=None, norms=None) -> np.nd
     final best; both passes make the same GEMMs, so they see the same
     values."""
     rows, count = z.shape[0], centers.shape[0]
-    c_max = -np.min(centers[:, -2] if bias is None else bias)
+    c_max = -np.min(bias)
     batch = min(rows, _SAMPLE_BATCH)
     width = min(count, max(1, _PANEL // max(batch, 1)))
     spans = _even_spans(count, width)
     buf = np.empty(batch * width)
     out = np.empty(rows, dtype=np.intp)
     for s in range(0, rows, _SAMPLE_BATCH):
-        if bias is None:
-            zb = _augment(z[s : s + _SAMPLE_BATCH])
-            slack = 1e-12 * (zb[:, -1] + c_max)
-        else:
-            zb = z[s : s + _SAMPLE_BATCH]
-            slack = 1e-12 * (norms[s : s + _SAMPLE_BATCH] + c_max)
+        zb = z[s : s + _SAMPLE_BATCH]
+        slack = 1e-12 * (norms[s : s + _SAMPLE_BATCH] + c_max)
         best = np.full(zb.shape[0], -np.inf)
         found = out[s : s + zb.shape[0]]
         found.fill(0)
@@ -499,6 +479,10 @@ def eve_bin_decode(z, i0, trace: EveTrace, cb: Codebook):
     likelihood is the plain distance to each possible clean observation.
     One observation (n_eve, n) gives an int; a batch (..., n_eve, n) with
     one bin or a bin per observation gives an array.
+
+    The rows [re z | im z] are scored against the bin's memoised
+    ``eve_image``: its 2 c columns as the centers and its -|c|^2 column as
+    the bias, so the score 2 Re<z, c> - |c|^2 is |z|^2 - |z - c|^2.
     """
     z = as_complex_matrix(z, stacked=True)
     if z.shape[-2:] != (trace.n_eve, cb.n):
@@ -507,10 +491,13 @@ def eve_bin_decode(z, i0, trace: EveTrace, cb: Codebook):
         )
     bins = np.broadcast_to(i0, z.shape[:-2]).reshape(-1)
     z_flat = z.reshape(bins.size, -1)
+    z_re = np.concatenate([z_flat.real, z_flat.imag], axis=1)
+    norms = np.einsum("ij,ij->i", z_re, z_re)
     out = np.empty(bins.size, dtype=np.intp)
     for b in np.unique(bins):
         rows = bins == b
-        out[rows] = _nearest(z_flat[rows], cb.eve_image(trace, int(b)))
+        image = cb.eve_image(trace, int(b))
+        out[rows] = _nearest(z_re[rows], image[:, :-2], image[:, -2], norms[rows])
     return int(out[0]) if z.ndim == 2 else out.reshape(z.shape[:-2])
 
 

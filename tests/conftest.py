@@ -1,5 +1,18 @@
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401  (loads scipy's own OpenBLAS before the pin below)
+
+from avwiretap.cli import _one_blas_thread
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Run the whole session with every loaded OpenBLAS on one thread, as
+    ``cli.main`` runs a command: library calls made from the tests then
+    use the BLAS a command uses, and the wall-clock gates do not depend on
+    a second BLAS thread finding a free core."""
+    with _one_blas_thread():
+        yield
 
 
 class ZeroNoise:

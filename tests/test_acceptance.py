@@ -257,8 +257,7 @@ def test_criterion_09_resolvability_and_leakage_bound():
     )
 
     # quadrature cross-check at blocklength 1 with single-codeword bins
-    bp1 = BinningParams(n=1, rate_bits=1.0, n_bins=2, per_bin=1, delta_n=0.5,
-                        delta_prime=0.25, mode="strong")
+    bp1 = BinningParams(n=1, rate_bits=1.0, n_bins=2, per_bin=1)
     cb1 = sample_codebook(bp1, pc, rng)
     trace1 = EveTrace.random(1, 2, 1, rng)
     est1 = estimate_variational_distance(cb1, trace1, [0, 1], 20_000, rng)
@@ -347,8 +346,7 @@ def test_criterion_12_decoder_symmetry():
     pc = PowerConfig(pbar=4.0, eps_p=0.0, n_tx=2)
     n, rate = 6, 0.6
     bp = BinningParams(n=n, rate_bits=rate, n_bins=1,
-                       per_bin=math.ceil(2 ** (n * rate)), delta_n=0.4,
-                       delta_prime=0.1, mode="weak")
+                       per_bin=math.ceil(2 ** (n * rate)))
     passes = 0
     for _ in range(20):
         res = eve_error_symmetry_check(

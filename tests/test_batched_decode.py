@@ -40,7 +40,7 @@ def _book(rng, n_bins, per_bin, n_tx, n, duplicate):
     if duplicate and cw.shape[0] > 1:
         cw[-1] = cw[0]
     pc = PowerConfig(pbar=n_tx + 1000.0, eps_p=0.0, n_tx=n_tx)
-    return Codebook(codewords=cw, n_bins=n_bins, per_bin=per_bin, mode="weak", pc=pc)
+    return Codebook(codewords=cw, n_bins=n_bins, per_bin=per_bin, pc=pc)
 
 
 def _reference_main(y, ch, cb):
@@ -114,7 +114,7 @@ def test_exact_tie_goes_to_smallest_label(rng):
     assert ml_decode_main(ch.h @ cb.codewords[-1], ch, cb) == (0, 0)
     copies = np.stack([cb.codeword(1, 0), cb.codeword(1, 0)])
     cb_bin = Codebook(codewords=np.concatenate([copies, copies]), n_bins=2,
-                      per_bin=2, mode="weak", pc=cb.pc)
+                      per_bin=2, pc=cb.pc)
     z = np.einsum("iet,ti->ei", trace.stacked, cb.codeword(1, 0))
     assert eve_bin_decode(z, 1, trace, cb_bin) == 0
 
@@ -179,7 +179,7 @@ def test_main_decode_tie_across_a_panel_edge(rng):
     cw = complex_normal(rng, (1600, 2, 3))
     cw[1400] = cw[0]
     pc = PowerConfig(pbar=1e12, eps_p=0.0, n_tx=2)
-    cb = Codebook(codewords=cw, n_bins=2, per_bin=800, mode="weak", pc=pc)
+    cb = Codebook(codewords=cw, n_bins=2, per_bin=800, pc=pc)
     ch = MainChannel(complex_normal(rng, (2, 2)))
     noise = np.where(np.arange(50) < 20, 0.0, 0.3)
     for _ in range(3):
@@ -207,7 +207,7 @@ def test_main_decode_tie_across_a_panel_edge(rng):
     for scale, loud, gain, label in cases:
         cw[1400] = scale * cw[0]
         cw[1599] = loud * quiet
-        cb = Codebook(codewords=cw, n_bins=2, per_bin=800, mode="weak", pc=pc)
+        cb = Codebook(codewords=cw, n_bins=2, per_bin=800, pc=pc)
         i_hat, j_hat = ml_decode_main(np.stack([gain * ch.h @ cw[1400]] * 50), ch, cb)
         assert set(zip(i_hat.tolist(), j_hat.tolist())) == {label}
 
@@ -230,8 +230,7 @@ def test_estimate_decode_error_rejects_unknown_link(rng):
 
 def test_codebook_ensemble_matches_explicit_loop():
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=2, rate_bits=1.0, n_bins=2, per_bin=2, delta_n=0.1,
-                       delta_prime=0.1, mode="strong")
+    bp = BinningParams(n=2, rate_bits=1.0, n_bins=2, per_bin=2)
 
     def stat(cb):
         return float(np.sum(np.abs(cb.codewords))), cb.codewords[0, 0, 0].real
@@ -267,8 +266,7 @@ def _covered(seen):
 
 def test_eve_image_observes_each_codeword_once_per_trace(monkeypatch):
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=3, rate_bits=1.0, n_bins=5, per_bin=7, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=3, rate_bits=1.0, n_bins=5, per_bin=7)
     rng = np.random.default_rng(8)
     cb = sample_codebook(bp, pc, rng)
     trace = EveTrace.random(1, 2, 3, rng)

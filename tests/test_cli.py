@@ -313,6 +313,14 @@ def _openblas_threads(libs):
     return {path: get() for path, (get, _) in libs.items()}
 
 
+def test_session_runs_every_openblas_on_one_thread():
+    # conftest pins the whole session, numpy's and scipy's OpenBLAS alike
+    libs = _openblas_setters()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    assert _openblas_threads(libs) == {path: 1 for path in libs}
+
+
 @pytest.mark.parametrize(
     "raised, code",
     [(None, 0), (ConfigError("bad"), 1), (ToyScaleError("big"), 3), (RuntimeError("bug"), 4)],

@@ -83,8 +83,7 @@ def test_sample_codebook_truncation_shrinks_energy(rng):
 
 def test_sample_codebook_zero_power():
     pc = PowerConfig(pbar=1.0, eps_p=0.0, n_tx=2)
-    bp = BinningParams(n=3, rate_bits=1.0, n_bins=2, per_bin=2, delta_n=0.1,
-                       delta_prime=0.1, mode="strong")
+    bp = BinningParams(n=3, rate_bits=1.0, n_bins=2, per_bin=2)
     cb = sample_codebook(bp, pc, None)
     assert np.all(cb.codewords == 0)
 
@@ -92,16 +91,14 @@ def test_sample_codebook_zero_power():
 def test_sample_codebook_pathological_acceptance_refused(rng):
     # duck-typed config whose sampling variance dwarfs the cap
     fake = SimpleNamespace(p=1.0, eps_p=0.999, n_tx=2, per_antenna_var=50.0)
-    bp = BinningParams(n=8, rate_bits=1.0, n_bins=2, per_bin=2, delta_n=0.1,
-                       delta_prime=0.1, mode="strong")
+    bp = BinningParams(n=8, rate_bits=1.0, n_bins=2, per_bin=2)
     with pytest.raises(ValueError, match="acceptance"):
         sample_codebook(bp, fake, rng)
 
 
 def test_sampler_refuses_oversized_books(rng):
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=4, rate_bits=20.0, n_bins=2**10, per_bin=2**10,
-                       delta_n=0.1, delta_prime=0.1, mode="strong")
+    bp = BinningParams(n=4, rate_bits=20.0, n_bins=2**10, per_bin=2**10)
     with pytest.raises(ToyScaleError):
         sample_codebook(bp, pc, rng)
 
@@ -110,7 +107,7 @@ def test_codebook_rejects_over_cap_codewords():
     pc = PowerConfig(pbar=3.0, eps_p=0.0, n_tx=1)
     hot = np.full((1, 1, 2), 10.0, dtype=complex)
     with pytest.raises(ValueError):
-        Codebook(codewords=hot, n_bins=1, per_bin=1, mode="strong", pc=pc)
+        Codebook(codewords=hot, n_bins=1, per_bin=1, pc=pc)
 
 
 def test_encode_out_of_range(rng):
@@ -137,8 +134,7 @@ def test_ml_decode_high_snr_error_rate(rng):
     # strong gains and few codewords: block errors should be very rare
     ch = MainChannel(8.0 * np.eye(2))
     pc = PowerConfig(pbar=102.0, eps_p=0.0, n_tx=2)
-    bp = BinningParams(n=6, rate_bits=0.5, n_bins=4, per_bin=2, delta_n=0.1,
-                       delta_prime=0.1, mode="strong")
+    bp = BinningParams(n=6, rate_bits=0.5, n_bins=4, per_bin=2)
     cb = sample_codebook(bp, pc, rng)
     err, _ = estimate_decode_error(cb, ch, 2000, rng)
     assert err < 1e-3
@@ -152,8 +148,7 @@ def test_ml_decode_error_grows_above_channel_rate(rng):
     errs = []
     for n, trials in ((4, 300), (8, 300), (16, 120)):
         n_bins = max(1, math.floor(2 ** (n * 0.875) / 2))
-        bp = BinningParams(n=n, rate_bits=0.875, n_bins=n_bins, per_bin=2,
-                           delta_n=0.1, delta_prime=0.1, mode="strong")
+        bp = BinningParams(n=n, rate_bits=0.875, n_bins=n_bins, per_bin=2)
         cb = sample_codebook(bp, pc, rng)
         errs.append(estimate_decode_error(cb, ch, trials, rng)[0])
     assert errs[0] < errs[2]
@@ -162,8 +157,7 @@ def test_ml_decode_error_grows_above_channel_rate(rng):
 
 def test_eve_bin_decode_trivial_cases(rng):
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=3, rate_bits=1.0, n_bins=2, per_bin=1, delta_n=0.1,
-                       delta_prime=0.1, mode="weak")
+    bp = BinningParams(n=3, rate_bits=1.0, n_bins=2, per_bin=1)
     cb = sample_codebook(bp, pc, rng)
     trace = EveTrace.random(1, 2, 3, rng)
     z = np.einsum("iet,ti->ei", trace.stacked, cb.codeword(1, 0))
@@ -185,8 +179,7 @@ def test_eve_bin_error_falls_as_blocklength_grows(rng):
     means = []
     for n in (4, 8, 16):
         per_bin = math.ceil(2 ** (n * 0.6))
-        bp = BinningParams(n=n, rate_bits=0.6, n_bins=1, per_bin=per_bin,
-                           delta_n=0.4, delta_prime=0.1, mode="weak")
+        bp = BinningParams(n=n, rate_bits=0.6, n_bins=1, per_bin=per_bin)
         trace = EveTrace.random(1, 2, n, rng)
         errs = [
             estimate_decode_error(sample_codebook(bp, pc, rng), trace, 300, rng)[0]
@@ -205,8 +198,7 @@ def test_estimate_decode_error_zero_noise(zero_noise, rng):
 
 def test_estimate_decode_error_single_codeword(rng):
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=2, rate_bits=0.5, n_bins=1, per_bin=1, delta_n=0.1,
-                       delta_prime=0.1, mode="strong")
+    bp = BinningParams(n=2, rate_bits=0.5, n_bins=1, per_bin=1)
     cb = sample_codebook(bp, pc, rng)
     ch = MainChannel(np.eye(2))
     err, _ = estimate_decode_error(cb, ch, 50, rng)
@@ -225,8 +217,7 @@ def test_estimate_decode_error_brackets_high_precision_rerun(rng):
 
 def test_sample_codebook_seeded_determinism():
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=4, rate_bits=1.0, n_bins=2, per_bin=8, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=4, rate_bits=1.0, n_bins=2, per_bin=8)
     books = [sample_codebook(bp, pc, np.random.default_rng(123)) for _ in range(2)]
     assert np.array_equal(books[0].codewords, books[1].codewords)
 
@@ -245,8 +236,7 @@ def test_sample_codebook_keeps_the_first_accepted_candidates():
     # normal stream does not depend on how it is split into draws, so the
     # book is the first accepted candidates of one long draw
     pc = PowerConfig(pbar=4.0, eps_p=0.02, n_tx=2)
-    bp = BinningParams(n=4, rate_bits=1.0, n_bins=3, per_bin=700, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=4, rate_bits=1.0, n_bins=3, per_bin=700)
     for seed in range(5):
         cb = sample_codebook(bp, pc, np.random.default_rng(seed))
         ref = _accepted_stream(bp, pc, np.random.default_rng(seed), 10_000)
@@ -257,8 +247,7 @@ def test_small_books_draw_one_batch_of_256():
     # a book whose candidates fit in one batch of 256 leaves the generator
     # where one 256-candidate draw leaves it
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=4, rate_bits=1.0, n_bins=2, per_bin=8, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=4, rate_bits=1.0, n_bins=2, per_bin=8)
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
     cb = sample_codebook(bp, pc, rng)
     assert np.array_equal(cb.codewords, _accepted_stream(bp, pc, ref, 256)[: cb.size])

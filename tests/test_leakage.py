@@ -123,8 +123,7 @@ def test_variational_distance_matches_quadrature(rng):
     # single-codeword bins at blocklength 1: the mixture is one Gaussian and
     # the distance has a 2-D quadrature oracle
     pc = _pc()
-    bp = BinningParams(n=1, rate_bits=1.0, n_bins=2, per_bin=1, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=1, rate_bits=1.0, n_bins=2, per_bin=1)
     cb = sample_codebook(bp, pc, rng)
     trace = EveTrace.random(1, 2, 1, rng)
     est = estimate_variational_distance(cb, trace, [0, 1], 20_000, rng)
@@ -151,8 +150,7 @@ def test_variational_distance_falls_with_bin_size(rng):
     trace = EveTrace.random(1, 2, 2, rng)
     estimates = []
     for per_bin in (1, 8, 64):
-        bp = BinningParams(n=2, rate_bits=1.0, n_bins=1, per_bin=per_bin,
-                           delta_n=0.5, delta_prime=0.25, mode="strong")
+        bp = BinningParams(n=2, rate_bits=1.0, n_bins=1, per_bin=per_bin)
         cb = sample_codebook(bp, pc, rng)
         est = estimate_variational_distance(cb, trace, [0], 4000, rng)
         estimates.append(est.d_hat)
@@ -185,11 +183,10 @@ def test_variational_distance_nonincreasing_in_blocklength(rng):
 
 def test_variational_distance_respects_caps(rng):
     pc = _pc()
-    bp = BinningParams(n=2, rate_bits=1.0, n_bins=1, per_bin=2**15, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=2, rate_bits=1.0, n_bins=1, per_bin=2**15)
     with pytest.raises(ToyScaleError):
         estimate_variational_distance(
-            Codebook(np.zeros((2**15, 2, 2), dtype=complex), 1, 2**15, "strong",
+            Codebook(np.zeros((2**15, 2, 2), dtype=complex), 1, 2**15,
                      PowerConfig(2.0, 0.0, 2)),
             EveTrace.random(1, 2, 2, rng), [0], 100, rng,
         )
@@ -215,8 +212,7 @@ def test_total_distance_bound_folds_truncation_slack():
 
 def test_leakage_mi_single_message_is_exactly_zero(rng):
     pc = _pc()
-    bp = BinningParams(n=3, rate_bits=1.0, n_bins=1, per_bin=8, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=3, rate_bits=1.0, n_bins=1, per_bin=8)
     cb = sample_codebook(bp, pc, rng)
     mi, se = estimate_leakage_mi(cb, EveTrace.random(1, 2, 3, rng), 300, rng)
     assert mi == 0.0 and se == 0.0
@@ -225,12 +221,11 @@ def test_leakage_mi_single_message_is_exactly_zero(rng):
 def test_leakage_mi_identical_bins_vanishes(rng):
     # duplicate one bin: the observation carries no message information
     pc = _pc()
-    bp = BinningParams(n=3, rate_bits=1.0, n_bins=1, per_bin=4, delta_n=0.5,
-                       delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=3, rate_bits=1.0, n_bins=1, per_bin=4)
     base = sample_codebook(bp, pc, rng)
     doubled = Codebook(
         codewords=np.concatenate([base.codewords, base.codewords]),
-        n_bins=2, per_bin=4, mode="strong", pc=pc,
+        n_bins=2, per_bin=4, pc=pc,
     )
     mi, se = estimate_leakage_mi(doubled, EveTrace.random(1, 2, 3, rng), 3000, rng)
     assert abs(mi) <= max(3 * se, 1e-9)
@@ -265,7 +260,7 @@ def test_truncated_vs_gaussian_under_bound_and_shrinking():
 
 def test_eve_second_moment_zero_codebook(rng):
     pc = PowerConfig(pbar=1.0, eps_p=0.0, n_tx=2)  # p = 0
-    cb = Codebook(np.zeros((1, 2, 4), dtype=complex), 1, 1, "strong", pc)
+    cb = Codebook(np.zeros((1, 2, 4), dtype=complex), 1, 1, pc)
     res = eve_second_moment_check(cb, EveTrace.random(1, 2, 4, rng), 4000, rng)
     assert res.holds
     assert res.empirical == pytest.approx(4 * 1 * 1.0, rel=0.1)  # noise only
@@ -280,7 +275,7 @@ def test_eve_second_moment_tight_for_aligned_full_power_codewords(rng):
     cw[:, 0, :] = math.sqrt(pc.p) * np.exp(
         1j * rng.uniform(0, 2 * math.pi, size=(8, n))
     )
-    cb = Codebook(cw, 2, 4, "strong", pc)
+    cb = Codebook(cw, 2, 4, pc)
     trace = EveTrace.constant(np.array([[1.0, 0.0]]), n)
     res = eve_second_moment_check(cb, trace, 6000, rng)
     assert res.holds
@@ -293,10 +288,9 @@ def test_eve_second_moment_random_books_hold(rng):
         assert eve_second_moment_check(cb, trace, 2000, rng).holds
 
 
-def _weak_bp(n, rate=0.6, delta_n=0.4):
+def _weak_bp(n, rate=0.6):
     per_bin = math.ceil(2 ** (n * rate))
-    return BinningParams(n=n, rate_bits=rate, n_bins=1, per_bin=per_bin,
-                         delta_n=delta_n, delta_prime=0.1, mode="weak")
+    return BinningParams(n=n, rate_bits=rate, n_bins=1, per_bin=per_bin)
 
 
 def test_symmetry_same_trace(rng):
@@ -336,8 +330,7 @@ def test_symmetry_decodes_side_by_side_books_as_their_own(seed):
         z = eve_observe(transmit(side.codewords[w * bp.per_bin + j], ref_rng), trace)
         errors = []
         for k in range(books):
-            own = Codebook(codewords=side.bin_codewords(k), n_bins=1, per_bin=bp.per_bin,
-                           mode="weak", pc=pc)
+            own = Codebook(codewords=side.bin_codewords(k), n_bins=1, per_bin=bp.per_bin, pc=pc)
             rows = slice(k * trials, (k + 1) * trials)
             errors.append(np.mean(eve_bin_decode(z[rows], 0, trace, own) != j[rows]))
         ref.extend(map(float, mean_stderr(errors)))

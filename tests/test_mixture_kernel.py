@@ -71,6 +71,14 @@ def test_mixture_logpdf_matches_broadcast_reference(seed, rows, count, dim, far)
     assert np.max(np.abs(got - _reference_logpdf(z, centers))) <= 1e-9
 
 
+def _nearest_image(z, image):
+    """``_nearest`` of complex rows z (rows, dim) against an ``_image``, as
+    the eavesdropper's decoder calls it: [re z | im z] against the image's
+    2 c columns, its -|c|^2 column as the bias and |z|^2 as the norms."""
+    rows = np.concatenate([z.real, z.imag], axis=1)
+    return _nearest(rows, image[:, :-2], image[:, -2], np.einsum("ij,ij->i", rows, rows))
+
+
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4))
 def test_binned_lse_falls_back_where_bin_sums_underflow(seed, n_bins, per_bin, dim):
@@ -88,7 +96,7 @@ def test_binned_lse_falls_back_where_bin_sums_underflow(seed, n_bins, per_bin, d
     got = _binned_lse(z, _image(centers), n_bins)
     assert got.shape == (16, n_bins) and np.all(np.isfinite(got))
     assert np.max(np.abs(got - ref)) <= 1e-9
-    assert np.array_equal(_nearest(z, _image(centers)), np.argmin(sq, axis=1))
+    assert np.array_equal(_nearest_image(z, _image(centers)), np.argmin(sq, axis=1))
 
 
 def _dense_binned_lse(z, centers, groups):
@@ -146,7 +154,7 @@ def test_binned_lse_and_nearest_stay_in_bounded_buffers():
     image = _image(complex_normal(rng, (2**18, 1)))
     tracemalloc.start()
     try:
-        idx = _nearest(z[:, :1], image)
+        idx = _nearest_image(z[:, :1], image)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -175,7 +183,7 @@ def test_nearest_matches_dense_argmin_across_panel_edges(seed, rows, count, dim)
     z = centers[rng.integers(count, size=rows)] + complex_normal(rng, (rows, dim), var=0.3)
     z[::3] = centers[min(width - 3, count - 1)]
     sq = np.sum(np.abs(z[:, None, :] - centers[None]) ** 2, axis=2)
-    got = _nearest(z, _image(centers))
+    got = _nearest_image(z, _image(centers))
     assert got.dtype == np.intp and got.shape == (rows,)
     assert np.array_equal(got, np.argmin(sq, axis=1))
 
@@ -200,7 +208,7 @@ def test_nearest_later_panel_best_within_slack_keeps_earlier_center(gap, later):
     centers[5] = 1.0
     centers[width + 2] = math.sqrt(1.0 - gap)
     z = np.zeros((_SAMPLE_BATCH, 1), dtype=complex)
-    got = _nearest(z, _image(centers))
+    got = _nearest_image(z, _image(centers))
     assert np.array_equal(got, _first_within_slack(z, centers))
     assert np.all(got == (width + 2 if later else 5))
 
@@ -221,7 +229,7 @@ def test_nearest_center_exactly_at_the_slack_floor_is_tied():
     centers[width + 2] = 1.0
     image = _image(centers)
     assert image[5, -2] == floor and -1.0 - floor > slack
-    assert np.all(_nearest(np.zeros((_SAMPLE_BATCH, 1), dtype=complex), image) == 5)
+    assert np.all(_nearest_image(np.zeros((_SAMPLE_BATCH, 1), dtype=complex), image) == 5)
 
 
 def _default_n8_book():
@@ -299,8 +307,7 @@ def _reference_leakage_mi(cb, trace, samples, rng):
 @example(seed=851, n_bins=2, per_bin=1, n=1, samples=2)
 def test_leakage_mi_matches_per_bin_reference(seed, n_bins, per_bin, n, samples):
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
-    bp = BinningParams(n=n, rate_bits=1.0, n_bins=n_bins, per_bin=per_bin,
-                       delta_n=0.5, delta_prime=0.25, mode="strong")
+    bp = BinningParams(n=n, rate_bits=1.0, n_bins=n_bins, per_bin=per_bin)
     rng = np.random.default_rng(seed)
     cb = sample_codebook(bp, pc, rng)
     trace = EveTrace.random(1, 2, n, rng)

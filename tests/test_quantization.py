@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
-from avwiretap import channel, quantization
+from avwiretap import channel, checks, quantization
 from avwiretap.channel import EveTrace, complex_normal, random_eve_state
 from avwiretap.quantization import (
     _min_n_satisfying,
@@ -144,6 +145,32 @@ def test_perturbation_bound_never_violated(rng):
     # the residual-radius precondition trims roughly a quarter of the draws
     assert applicable > 6_000
     assert violations == 0
+
+
+def test_perturbation_scan_draws_inputs_from_the_capped_law(rng, monkeypatch):
+    # the scan's inputs are i.i.d. CN(0, v) entries, v = p / n_tx, kept
+    # under the cap p: the energy over v of a block is Gamma(k) with
+    # k = n_tx n cut at k, whose mean is k P(k + 1, k) / P(k, k)
+    instances, n, m, p, n_tx = 2_000, 8, 100, 8.0, 2
+    seen = []
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return quantization.check_loglik_perturbation_batch(x, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "check_loglik_perturbation_batch", spy)
+    row = checks.perturbation_scan(instances, n, m, p, n_tx, 1, 0.1, rng)
+    (x,) = seen
+    assert x.shape == (instances, n_tx, n)
+    energy = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    assert np.all(energy <= p * n)
+    k, v = n_tx * n, p / n_tx
+    kept = gammainc(k, k)
+    mean = v * k * gammainc(k + 1, k) / kept / n
+    second = v * v * k * (k + 1) * gammainc(k + 2, k) / kept / (n * n)
+    sigma = math.sqrt((second - mean * mean) / instances)
+    assert abs(energy.mean() / n - mean) <= 4 * sigma
+    assert row.passed  # no violation, on some applicable instances
 
 
 def test_chernoff_examples():

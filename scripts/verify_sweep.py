@@ -4,9 +4,10 @@ each row goes red and how long it takes.
     PYTHONPATH=src python scripts/verify_sweep.py --budget standard --first 1 --last 100
 
 Each seed runs exactly what ``avwiretap verify --seed SEED`` runs, in this
-process.  The output is one line per row: check id, red count, seeds run,
-red rate, the row's median wall seconds per seed, then the seeds on which the
-row went red.
+process, with every loaded OpenBLAS on one thread as the command runs it.
+The output is one line per row: check id, red count, seeds run, red rate,
+the row's median wall seconds per seed, then the seeds on which the row
+went red.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import defaultdict
 from time import perf_counter
 
 from avwiretap import checks
-from avwiretap.cli import cmd_verify
+from avwiretap.cli import _one_blas_thread, cmd_verify
 
 
 @contextlib.contextmanager
@@ -56,7 +57,7 @@ def sweep(budget: str, seeds) -> tuple[list, dict, dict]:
     """Check ids in battery order, the seeds on which each went red, and
     each row's wall seconds per seed."""
     order, red, seconds = [], defaultdict(list), defaultdict(list)
-    with timed_rows(seconds):
+    with _one_blas_thread(), timed_rows(seconds):
         for seed in seeds:
             header, (block,) = cmd_verify({"budget": budget}, seed)
             for check_id, passed in zip(block[0], block[header.index("passed")]):

@@ -320,11 +320,12 @@ def random_full_rank_channel(
 ) -> MainChannel:
     """i.i.d. complex Gaussian channel, resampled until acceptably conditioned."""
     for _ in range(256):
-        h = complex_normal(rng, (n_rx, n_tx))
-        s = np.linalg.svd(h, compute_uv=False)
-        if s[-1] <= RANK_RTOL * s[0]:
+        try:
+            ch = MainChannel(complex_normal(rng, (n_rx, n_tx)))
+        except RankError:
             continue
+        s = ch.singular_values
         if max_condition is not None and s[0] / s[-1] > max_condition:
             continue
-        return MainChannel(h)
+        return ch
     raise RankError("could not draw an acceptably conditioned channel")

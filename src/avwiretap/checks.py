@@ -38,7 +38,7 @@ from .quantization import (
     quantize_eve,
     row_error_cap,
 )
-from .rates import main_mutual_info
+from .rates import leakage_cap, main_mutual_info
 
 # Family-wise false-alarm rate of each exact-law row: the density row across
 # its blocklengths, the output-invariance row across its four tests.
@@ -172,7 +172,7 @@ def _saturating_binning(pc: PowerConfig, n: int) -> BinningParams:
     """Strong-mode bins over the identity main channel, with within-bin
     randomization just above the eavesdropper's rate log2 p'."""
     i_main = main_mutual_info(MainChannel(np.eye(pc.n_tx)), pc)
-    return binning_params(i_main, math.log2(pc.p_prime), n=n, delta_n=0.5,
+    return binning_params(i_main, leakage_cap(pc, 1, "exact"), n=n, delta_n=0.5,
                           delta_prime=0.25, mode="strong")
 
 

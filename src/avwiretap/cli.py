@@ -48,6 +48,7 @@ from .quantization import schedule_params, two_stage_overhead
 from .rates import (
     bc_region,
     converse_rate_bound,
+    leakage_cap,
     mac_region,
     main_mutual_info,
     secrecy_rate,
@@ -397,21 +398,21 @@ def _spawn_rngs(seed: int, count: int):
 # subcommands
 
 
-def cmd_rate(cfg: dict, convention: str) -> tuple:
+def cmd_rate(cfg: dict, scale: float) -> tuple:
     ch, n_eve, eps_p, grid = _read(
         cfg, "", channel=(_channel, REQUIRED), n_eve=(_count, REQUIRED), eps_p=(_float, 0.0),
         pbar_grid=(_power_grid, REQUIRED),
     )
     pc = PowerConfig(pbar=grid, eps_p=eps_p, n_tx=ch.n_modes)
-    res = secrecy_rate(ch, pc, n_eve, convention)
+    res = secrecy_rate(ch, pc, n_eve)
     header = ["pbar", "p", "main_mi", "leakage_cap", "secrecy_rate", "converse_bound"]
     return header, [[
-        grid, pc.p, res.main_mi, res.leakage_cap, res.rate_bits,
-        converse_rate_bound(ch, grid, n_eve, convention),
+        grid, pc.p, scale * res.main_mi, scale * res.leakage_cap, scale * res.rate_bits,
+        scale * converse_rate_bound(ch, grid, n_eve),
     ]]
 
 
-def cmd_region(cfg: dict, convention: str) -> tuple:
+def cmd_region(cfg: dict, scale: float) -> tuple:
     # alpha_grid belongs to the multi-access model only
     mac = cfg.get("model") != "bc"
     model, ch1, ch2, pbar, n_eve, *alphas = _read(
@@ -420,12 +421,12 @@ def cmd_region(cfg: dict, convention: str) -> tuple:
         **({"alpha_grid": (_alpha_grid, _alpha_grid({}, "alpha_grid"))} if mac else {}),
     )
     if model == "mac":
-        region = mac_region(ch1, ch2, pbar, n_eve, *alphas, convention)
+        region = mac_region(ch1, ch2, pbar, n_eve, *alphas)
     else:
-        region = bc_region(ch1, ch2, pbar, n_eve, convention)
+        region = bc_region(ch1, ch2, pbar, n_eve)
     return ["r1", "r2", "hull"], [
-        [region.raw_points[:, 0], region.raw_points[:, 1], False],
-        [region.hull[:, 0], region.hull[:, 1], True],
+        [scale * region.raw_points[:, 0], scale * region.raw_points[:, 1], False],
+        [scale * region.hull[:, 0], scale * region.hull[:, 1], True],
     ]
 
 
@@ -451,7 +452,7 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
         raise ConfigError(f"n_eve must lie between 1 and n_tx = {n_tx}, not {n_eve}")
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)
     i_main = main_mutual_info(ch, pc)
-    i_eve = n_eve * math.log2(pc.p_prime)
+    i_eve = leakage_cap(pc, n_eve, "exact")
     # size every book, and refuse one past the exact-mixture caps, before
     # any Monte Carlo work
     bps = [binning_params(i_main, i_eve, n, delta_n, delta_prime, mode) for n in n_values]
@@ -601,13 +602,16 @@ def main(argv=None) -> int:
         convention = args.convention or _env("CONVENTION", "full")
         if convention not in ("full", "half"):
             raise ConfigError("convention must be 'full' or 'half'")
+        # the half convention is a unit (one real dimension per complex
+        # symbol): it halves every rate column, exactly in floating point
+        scale = 0.5 if convention == "half" else 1.0
         out_path = args.out if args.out is not None else _env("OUT")
 
         with _one_blas_thread():
             if args.command == "rate":
-                header, blocks = cmd_rate(cfg, convention)
+                header, blocks = cmd_rate(cfg, scale)
             elif args.command == "region":
-                header, blocks = cmd_region(cfg, convention)
+                header, blocks = cmd_region(cfg, scale)
             elif args.command == "simulate":
                 header, blocks = cmd_simulate(cfg, seed)
             elif args.command == "verify":

@@ -1,10 +1,11 @@
 """Closed-form secrecy rates, secure degrees of freedom, converse bounds,
 and time-sharing rate regions for the multi-access and broadcast variants.
 
-All rates default to the full-log convention, log2(1 + snr) bits per use;
-the "half" convention scales every rate by exactly one half (one real
-dimension per complex symbol) and is exposed for cross-checking against
-real-signalling conventions.
+Every rate is in the paper's unit, log2(1 + snr) bits per complex channel
+use.  The CLI's "half" convention (one real dimension per complex symbol)
+is a change of unit: it halves the reported columns, and a library caller
+who wants it multiplies a rate by 0.5, which is exact in binary floating
+point.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ import numpy as np
 
 from .channel import DimensionError, MainChannel, PowerConfig
 
-CONVENTIONS = ("full", "half")
-
 LEAKAGE_MODES = ("conservative", "exact")
-
-
-def _convention_scale(convention: str) -> float:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    return 0.5 if convention == "half" else 1.0
 
 
 # libm's log2, elementwise: numpy's vectorized log2 differs from it in the
@@ -33,27 +26,24 @@ def _convention_scale(convention: str) -> float:
 _libm_log2 = np.frompyfunc(math.log2, 1, 1)
 
 
-def capacity_term(x, convention: str = "full"):
-    """Gaussian capacity log2(1 + x) bits (halved under the half convention),
-    elementwise over an array of snrs."""
-    scale = _convention_scale(convention)
+def capacity_term(x):
+    """Gaussian capacity log2(1 + x) bits, elementwise over an array of snrs."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("snr must be nonnegative")
-    return scale * np.asarray(_libm_log2(1.0 + x), dtype=float)
+    return np.asarray(_libm_log2(1.0 + x), dtype=float)
 
 
-def _mode_rate(singular_values, p, n_t: int, convention: str):
+def _mode_rate(singular_values, p, n_t: int):
     """Sum over the spatial modes of C(s^2 p / ((s^2 + 1) n_t)): each mode with
     gain s shares the code power p with the n_t antennas, and the artificial
     noise raises its noise floor to s^2 + 1."""
     return sum(
-        capacity_term(s * s * p / ((s * s + 1.0) * n_t), convention)
-        for s in singular_values
+        capacity_term(s * s * p / ((s * s + 1.0) * n_t)) for s in singular_values
     )
 
 
-def main_mutual_info(ch: MainChannel, pc: PowerConfig, convention: str = "full"):
+def main_mutual_info(ch: MainChannel, pc: PowerConfig):
     """Rate across the main channel with isotropic input and artificial noise
     (``_mode_rate`` at the code power p; an array where ``pc.pbar`` is one)."""
     if pc.n_tx != ch.n_modes:
@@ -61,12 +51,10 @@ def main_mutual_info(ch: MainChannel, pc: PowerConfig, convention: str = "full")
             f"power config is for {pc.n_tx} active antennas but the channel "
             f"has {ch.n_modes} modes"
         )
-    return _mode_rate(ch.singular_values, pc.p, pc.n_tx, convention)
+    return _mode_rate(ch.singular_values, pc.p, pc.n_tx)
 
 
-def leakage_cap(
-    pc: PowerConfig, n_eve: int, mode: str = "conservative", convention: str = "full"
-):
+def leakage_cap(pc: PowerConfig, n_eve: int, mode: str = "conservative"):
     """Upper bound on what the eavesdropper learns, bits per use.
 
     ``conservative`` is the per-antenna cap n_eve * C(p) entering the
@@ -78,10 +66,10 @@ def leakage_cap(
     if mode == "conservative":
         snr = pc.p
     elif mode == "exact":
-        snr = pc.p * (1.0 - pc.eps_p) / pc.n_tx
+        snr = pc.per_antenna_var
     else:
         raise ValueError(f"unknown leakage mode {mode!r}; expected one of {LEAKAGE_MODES}")
-    return n_eve * capacity_term(snr, convention)
+    return n_eve * capacity_term(snr)
 
 
 @dataclass(frozen=True)
@@ -94,13 +82,11 @@ class SecrecyRateResult:
     clamped: bool
 
 
-def secrecy_rate(
-    ch: MainChannel, pc: PowerConfig, n_eve: int, convention: str = "full"
-) -> SecrecyRateResult:
+def secrecy_rate(ch: MainChannel, pc: PowerConfig, n_eve: int) -> SecrecyRateResult:
     """Achievable secrecy rate: main-channel rate minus the leakage cap,
     clamped at zero; elementwise where ``pc.pbar`` is an array."""
-    mi = main_mutual_info(ch, pc, convention)
-    leak = leakage_cap(pc, n_eve, "conservative", convention)
+    mi = main_mutual_info(ch, pc)
+    leak = leakage_cap(pc, n_eve, "conservative")
     return SecrecyRateResult(
         rate_bits=np.maximum(mi - leak, 0.0),
         main_mi=mi,
@@ -134,7 +120,7 @@ def sdof_slope(rate_fn, pbar_grid) -> float:
     return float(np.polyfit(np.log2(grid), rates, 1)[0])
 
 
-def converse_rate_bound(ch: MainChannel, pbar, n_eve: int, convention: str = "full"):
+def converse_rate_bound(ch: MainChannel, pbar, n_eve: int):
     """Secrecy-rate upper bound against the worst-case aligned eavesdropper,
     elementwise over an array of budgets.
 
@@ -150,7 +136,7 @@ def converse_rate_bound(ch: MainChannel, pbar, n_eve: int, convention: str = "fu
         raise ValueError("eavesdropper antenna count must be nonnegative")
     bound = np.zeros_like(per_antenna)
     for s in ch.singular_values[n_eve:]:
-        bound = bound + capacity_term(s * s * per_antenna, convention)
+        bound = bound + capacity_term(s * s * per_antenna)
     return bound[()]  # a scalar for a scalar budget
 
 
@@ -246,7 +232,6 @@ def mac_region(
     pbar: float,
     n_eve: int,
     alpha_grid=None,
-    convention: str = "full",
 ) -> RateRegion:
     """Time-sharing secrecy rate region of the two-user multi-access model.
 
@@ -266,7 +251,7 @@ def mac_region(
     def rate(ch, share):
         # the user's rate at the boosted budget pbar / share, over its share
         pc = PowerConfig(pbar / share, 0.0, n_t)
-        return share * secrecy_rate(ch, pc, n_eve, convention).rate_bits
+        return share * secrecy_rate(ch, pc, n_eve).rate_bits
 
     r1 = rate(ch1, alphas)
     # user 2 gets no time slot at alpha = 1
@@ -282,19 +267,16 @@ def bc_region(
     ch2: MainChannel,
     pbar: float,
     n_eve: int,
-    convention: str = "full",
 ) -> RateRegion:
     """Time-sharing secrecy rate region of the two-receiver broadcast model:
     the triangle spanned by the two single-user corner points."""
     pc = PowerConfig(pbar, 0.0, _square_pair(ch1, ch2))
-    c1 = secrecy_rate(ch1, pc, n_eve, convention).rate_bits
-    c2 = secrecy_rate(ch2, pc, n_eve, convention).rate_bits
+    c1 = secrecy_rate(ch1, pc, n_eve).rate_bits
+    c2 = secrecy_rate(ch2, pc, n_eve).rate_bits
     raw = np.array([(0.0, 0.0), (c1, 0.0), (0.0, c2)])
     return RateRegion(raw_points=raw, hull=convex_hull_2d(raw))
 
 
 def region_sum_sdof(region_fn, pbar_grid) -> float:
     """Slope of the best hull sum-rate against log2 of the power budget."""
-    grid = _check_power_grid(pbar_grid)
-    sums = np.array([region_fn(p).max_sum() for p in grid])
-    return float(np.polyfit(np.log2(grid), sums, 1)[0])
+    return sdof_slope(lambda p: region_fn(p).max_sum(), pbar_grid)

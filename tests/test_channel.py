@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from avwiretap import channel
 from avwiretap.channel import (
     DimensionError,
     EveTrace,
@@ -16,6 +17,7 @@ from avwiretap.channel import (
     effective_noise_cov,
     main_observe,
     random_eve_state,
+    random_full_rank_channel,
     transmit,
 )
 
@@ -236,3 +238,23 @@ def test_seeded_determinism():
     assert np.array_equal(outs[0], outs[1])
     traces = [EveTrace.random(1, 2, 4, np.random.default_rng(3)) for _ in range(2)]
     assert np.array_equal(traces[0].stacked, traces[1].stacked)
+
+
+def test_random_full_rank_channel_runs_one_svd_per_draw(monkeypatch):
+    draw, svd = channel.complex_normal, np.linalg.svd
+    draws, svds = [], []
+    monkeypatch.setattr(channel, "complex_normal", lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
+    ch = random_full_rank_channel(3, 3, np.random.default_rng(5), max_condition=3.0)
+    monkeypatch.undo()
+    assert len(draws) > 1  # the bound refused some draws
+    assert len(svds) == len(draws)
+    # the channel is the stream's first draw within the condition bound
+    rng = np.random.default_rng(5)
+    while True:
+        h = complex_normal(rng, (3, 3))
+        s = np.linalg.svd(h, compute_uv=False)
+        if s[0] / s[-1] <= 3.0:
+            break
+    assert np.array_equal(ch.h, h)
+    assert np.array_equal(ch.singular_values, s)

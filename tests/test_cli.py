@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from avwiretap import cli, codebook
 from avwiretap.cli import (
+    EXIT_CONFIG,
     EXIT_INTERNAL,
     ConfigError,
     main,
@@ -332,7 +333,7 @@ def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, capsys, raised, 
     original = _openblas_threads(libs)
     seen = []
 
-    def command(cfg, convention):
+    def command(cfg, scale):
         seen.append(_openblas_threads(libs))
         if raised is not None:
             raise raised
@@ -409,9 +410,9 @@ def test_blas_loaded_after_a_command_is_pinned_by_the_next(tmp_path):
         "for _, put in libs.values():\n"
         "    put(2)\n"
         "seen, command = [], cli.cmd_rate\n"
-        "def spy(cfg, convention):\n"
+        "def spy(cfg, scale):\n"
         "    seen.append(_openblas_threads(libs))\n"
-        "    return command(cfg, convention)\n"
+        "    return command(cfg, scale)\n"
         "cli.cmd_rate = spy\n"
         "assert cli.main(argv) == 0\n"
         "print(json.dumps([len(libs), seen, _openblas_threads(libs)]))\n"
@@ -720,6 +721,15 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert meta["seed"] == "77"
     assert meta["convention"] == "half"
 
+
+def test_unknown_env_convention_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("AVWT_CONVENTION", "quarter")
+    cfg = _write_cfg(tmp_path, "rate.json",
+                     {"channel": {"identity": 2}, "n_eve": 1, "pbar_grid": [10]})
+    code, out = _run(tmp_path, "rate", "--config", cfg)
+    assert code == EXIT_CONFIG == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "config error: convention must be 'full' or 'half'\n"
 
 
 def test_package_exports_resolve():

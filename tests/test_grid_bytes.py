@@ -1,7 +1,8 @@
 """Byte-level guard on the grid commands: every CSV data row of `rate`,
 `region` (mac) and `schedule` equals, as a string, the row that a plain
 `math` evaluation of the paper's closed forms gives, point by point, with
-every float written as %.12g."""
+every float written as %.12g.  A `bc` region under the half convention is
+exactly half of the library's region."""
 
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from avwiretap import cli
 from avwiretap.channel import MainChannel
 from avwiretap.quantization import schedule_params
+from avwiretap.rates import bc_region
 
 
 def _csv_rows(tmp_path, command, payload, *extra):
@@ -90,7 +92,8 @@ def _gift_wrap(points):
         hull.append(nxt)
 
 
-def test_mac_region_rows_match_math_oracle(tmp_path):
+@pytest.mark.parametrize("convention, scale", [("full", 1.0), ("half", 0.5)])
+def test_mac_region_rows_match_math_oracle(tmp_path, convention, scale):
     cfg = {
         "model": "mac",
         "channel1": {"diagonal": [2.0, 1.0]},
@@ -103,7 +106,7 @@ def test_mac_region_rows_match_math_oracle(tmp_path):
     n_t, n_eve, pbar = 2, cfg["n_eve"], cfg["pbar"]
 
     def user_rate(svals, p):
-        return max(_mode_rate(svals, p, n_t, 1.0) - n_eve * _cap(p, 1.0), 0.0)
+        return max(_mode_rate(svals, p, n_t, scale) - n_eve * _cap(p, scale), 0.0)
 
     raw = []
     for alpha in np.linspace(0.02, 1.0, 60).tolist():
@@ -114,7 +117,24 @@ def test_mac_region_rows_match_math_oracle(tmp_path):
     closure = raw + [(x, 0.0) for x, _ in raw] + [(0.0, y) for _, y in raw] + [(0.0, 0.0)]
     hull = _gift_wrap(closure)
     expected = [_row(r1, r2, False) for r1, r2 in raw] + [_row(r1, r2, True) for r1, r2 in hull]
-    assert _csv_rows(tmp_path, "region", cfg) == expected
+    assert _csv_rows(tmp_path, "region", cfg, "--convention", convention) == expected
+
+
+@pytest.mark.parametrize("n_eve", [1, 2])  # 2: both users clamped at zero
+def test_bc_region_half_rows_are_half_the_full_rows(tmp_path, n_eve):
+    cfg = {
+        "model": "bc",
+        "channel1": {"diagonal": [2.0, 1.0]},
+        "channel2": {"diagonal": [1.5, 0.8]},
+        "pbar": 80.0,
+        "n_eve": n_eve,
+    }
+    ch1, ch2 = (MainChannel(cli.parse_matrix(cfg[k])) for k in ("channel1", "channel2"))
+    region = bc_region(ch1, ch2, cfg["pbar"], n_eve)
+    for convention, scale in (("full", 1.0), ("half", 0.5)):
+        expected = [_row(*(scale * point).tolist(), False) for point in region.raw_points]
+        expected += [_row(*(scale * vertex).tolist(), True) for vertex in region.hull]
+        assert _csv_rows(tmp_path, "region", cfg, "--convention", convention) == expected
 
 
 SCHEDULE_BASE = {

@@ -35,11 +35,8 @@ def test_capacity_term_examples():
     assert capacity_term(0.0) == 0.0
     assert capacity_term(1.0) == pytest.approx(1.0)
     assert capacity_term(8.0) == pytest.approx(math.log2(9))
-    assert capacity_term(8.0, "half") == pytest.approx(0.5 * math.log2(9))
     with pytest.raises(ValueError):
         capacity_term(-0.5)
-    with pytest.raises(ValueError):
-        capacity_term(1.0, "nats")
 
 
 def test_main_mutual_info_identity_channel():
@@ -170,21 +167,6 @@ def test_secrecy_rate_monotonic_in_power_and_eve_antennas(rng):
             for k in range(n_m + 1)
         ]
         assert np.all(np.diff(by_eve) <= 1e-10)
-
-
-def test_half_convention_scales_everything(rng):
-    ch = random_full_rank_channel(3, 3, rng)
-    pc = PowerConfig(pbar=50.0, eps_p=0.1, n_tx=3)
-    full = secrecy_rate(ch, pc, 1, "full")
-    half = secrecy_rate(ch, pc, 1, "half")
-    assert half.rate_bits == pytest.approx(0.5 * full.rate_bits)
-    assert half.main_mi == pytest.approx(0.5 * full.main_mi)
-    assert leakage_cap(pc, 2, "exact", "half") == pytest.approx(
-        0.5 * leakage_cap(pc, 2, "exact", "full")
-    )
-    assert converse_rate_bound(ch, 50.0, 1, "half") == pytest.approx(
-        0.5 * converse_rate_bound(ch, 50.0, 1, "full")
-    )
 
 
 def test_converse_bound_refuses_negative_eavesdropper_count():

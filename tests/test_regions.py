@@ -204,13 +204,6 @@ def test_region_sum_sdof_slopes():
     assert flat == pytest.approx(0.0, abs=1e-9)
 
 
-def test_region_half_convention_scaling():
-    ch1, ch2 = _identity_pair()
-    full = mac_region(ch1, ch2, 102.0, 1, alpha_grid=[0.25, 0.5, 0.75])
-    half = mac_region(ch1, ch2, 102.0, 1, alpha_grid=[0.25, 0.5, 0.75], convention="half")
-    assert np.allclose(half.raw_points, 0.5 * full.raw_points)
-
-
 def _hull_by_np_unique(points) -> np.ndarray:
     """The monotone chain as it stood before the sort moved to np.lexsort:
     np.unique(axis=0) sorts and dedupes, and a cross() call per step."""

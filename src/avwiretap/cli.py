@@ -436,7 +436,7 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
         cfg, "", pbar=(_float, 6.0), eps_p=(_float, 0.5), n_tx=(_count, 2), n_eve=(_count, 1),
         n_values=(_counts, [2, 4, 8]), delta_n=(_float, 0.5), delta_prime=(_float, 0.25),
         mode=(_choice(*MODES), "strong"), distance_samples=(_count, 1_000),
-        mi_samples=(_count, 1_000), error_trials=(_count, 200), codebooks=(_count, 4),
+        mi_samples=(_count, 400), error_trials=(_count, 200), codebooks=(_count, 4),
         w_subset=(_count, 4), channel=(_channel, None),
     )
     if distance_samples < 2 or mi_samples < 2 or error_trials < 1:

@@ -31,7 +31,6 @@ from .codebook import (
     Codebook,
     _binned_lse,
     _image,
-    _lse,
     check_toy_caps,
     eve_bin_decode,
     mean_stderr,
@@ -345,13 +344,28 @@ def estimate_variational_distance(
 def estimate_leakage_mi(
     cb: Codebook, trace: EveTrace, samples: int, rng
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the leakage I(message; eavesdropper output).
+    """Rao-Blackwellized Monte Carlo estimate of the leakage I(W; Z) between
+    the message (bin) and the eavesdropper output.
 
-    Samples labels and observations from the true encoder pipeline and
-    averages the log ratio between the per-bin and whole-book mixture
-    densities.  Exact mixtures over all codewords, so the toy caps apply.
-    Returns the mean and its standard error from ``mean_stderr``: the sample
-    standard deviation with divisor samples - 1, over sqrt(samples).
+    Labels and observations are drawn from the true encoder pipeline.  With
+    uniform messages and equal bins, the posterior of the bin given z is the
+    softmax pi(z) of the per-bin log mixture sums that ``_binned_lse``
+    returns, and I(W; Z) = E[log2(n_bins pi_W(Z))].  Averaging that summand
+    over W given Z leaves the mean unchanged and gives the summand
+
+        E[log2(n_bins pi_W(Z)) | Z] = sum_w pi_w log2(n_bins pi_w)
+                                    = log2 n_bins - H(pi(Z)),
+
+    which is computed here (Rao-Blackwellization).  By the law of total
+    variance its variance is the per-message summand's minus
+    E[Var(log2(n_bins pi_W(Z)) | Z)], so never larger, and it lies in
+    [0, log2 n_bins].  A near-uniform posterior can round a few ulps below
+    0; it is floored there.  It needs no mixture work beyond the
+    per-message summand: the posterior comes from the (samples, n_bins)
+    sums the kernel returns anyway.  Exact mixtures over all codewords, so
+    the toy caps apply.  Returns the mean and its standard error from
+    ``mean_stderr``: the sample standard deviation with divisor
+    samples - 1, over sqrt(samples).
     """
     check_toy_caps(cb.size, cb.n)
     if samples < 2:
@@ -363,10 +377,14 @@ def estimate_leakage_mi(
         w = rng.integers(cb.n_bins, size=b)
         j = rng.integers(cb.per_bin, size=b)
         z = eve_observe(transmit(cb.codewords[w * cb.per_bin + j], rng), trace).reshape(b, -1)
-        lb = _binned_lse(z, image, cb.n_bins)
-        log_bin = lb[np.arange(b), w] - math.log(cb.per_bin)
-        log_all = _lse(lb, 1)[:, 0] - math.log(cb.size)
-        values.append((log_bin - log_all) / math.log(2))
+        # log bin sums shifted to a row maximum of 0: pi = e^a / s
+        a = _binned_lse(z, image, cb.n_bins)
+        a -= a.max(axis=1, keepdims=True)
+        e = np.exp(a)
+        s = e.sum(axis=1)
+        # ln n_bins - H(pi) = ln(n_bins / s) + sum_w pi_w a_w
+        nats = np.log(cb.n_bins / s) + np.einsum("ij,ij->i", e, a) / s
+        values.append(np.maximum(nats, 0.0) / math.log(2))
     return tuple(map(float, mean_stderr(np.concatenate(values))))
 
 

@@ -159,6 +159,19 @@ def test_simulate_distance_nonincreasing_and_seed_sensitivity(tmp_path):
     assert rows2 != rows
 
 
+def test_default_simulate_mi_hat_lies_in_its_range(tmp_path):
+    # each leakage summand is log2 n_bins - H(posterior), inside
+    # [0, log2 n_bins], so every row's mean is too (the per-message
+    # summand it replaced could average below 0)
+    code, out = _run(tmp_path, "simulate", "--seed", "3")
+    assert code == 0
+    _, columns, rows = read_table(out)
+    assert len(rows) == 3
+    for row in rows:
+        mi_hat = float(row[columns.index("mi_hat")])
+        assert 0.0 <= mi_hat <= math.log2(int(row[columns.index("n_bins")]))
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     assert main(["simulate"]) == 1
 

@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
 from avwiretap.channel import EveTrace, MainChannel, PowerConfig, eve_observe, transmit
 from avwiretap.codebook import (
+    _SAMPLE_BATCH,
     BinningParams,
     Codebook,
     ToyScaleError,
+    _binned_lse,
     binning_params,
     codebook_ensemble,
     eve_bin_decode,
@@ -219,7 +222,8 @@ def test_leakage_mi_single_message_is_exactly_zero(rng):
 
 
 def test_leakage_mi_identical_bins_vanishes(rng):
-    # duplicate one bin: the observation carries no message information
+    # duplicate one bin: the observation carries no message information, the
+    # posterior over bins is uniform and every summand is exactly 0
     pc = _pc()
     bp = BinningParams(n=3, rate_bits=1.0, n_bins=1, per_bin=4)
     base = sample_codebook(bp, pc, rng)
@@ -228,7 +232,69 @@ def test_leakage_mi_identical_bins_vanishes(rng):
         n_bins=2, per_bin=4, pc=pc,
     )
     mi, se = estimate_leakage_mi(doubled, EveTrace.random(1, 2, 3, rng), 3000, rng)
-    assert abs(mi) <= max(3 * se, 1e-9)
+    assert mi == 0.0 and se == 0.0
+
+
+def _mi_forms(cb, trace, samples, rng):
+    """Three leakage summands in bits on the same pipeline draws, made in the
+    estimator's batches and draw order: the per-message log2(n_bins pi_W(z))
+    (``old``), its posterior average log2 n_bins - H(pi(z)) (``new``), and
+    the mutant that drops the posterior weights, log2(n_bins pi_w(z))
+    averaged uniformly over w (``uniform``)."""
+    image = cb.eve_image(trace)
+    shift = math.log(cb.n_bins)
+    forms = {"old": [], "new": [], "uniform": []}
+    for done in range(0, samples, _SAMPLE_BATCH):
+        b = min(_SAMPLE_BATCH, samples - done)
+        w = rng.integers(cb.n_bins, size=b)
+        j = rng.integers(cb.per_bin, size=b)
+        z = eve_observe(transmit(cb.codewords[w * cb.per_bin + j], rng), trace).reshape(b, -1)
+        lb = _binned_lse(z, image, cb.n_bins)
+        log_post = lb - logsumexp(lb, axis=1, keepdims=True)
+        forms["old"].append(log_post[np.arange(b), w] + shift)
+        forms["new"].append(np.sum(np.exp(log_post) * log_post, axis=1) + shift)
+        forms["uniform"].append(log_post.mean(axis=1) + shift)
+    return {k: np.concatenate(v) / math.log(2) for k, v in forms.items()}
+
+
+def test_leakage_mi_far_apart_bins_read_every_bit(rng):
+    # two single-codeword bins 200 noise deviations apart at n = 1: z names
+    # its bin, the posterior is one-hot and the leakage is log2 n_bins = 1
+    pc = PowerConfig(pbar=1e4 + 2, eps_p=0.5, n_tx=2)  # p = 1e4
+    codewords = np.zeros((2, 2, 1), dtype=complex)
+    codewords[:, 0, 0] = (100.0, -100.0)
+    cb = Codebook(codewords=codewords, n_bins=2, per_bin=1, pc=pc)
+    trace = EveTrace.constant(np.array([[1.0, 0.0]]), 1)
+    mi, se = estimate_leakage_mi(cb, trace, 600, rng)
+    assert mi == pytest.approx(1.0, abs=1e-9) and se <= 1e-9
+    forms = _mi_forms(cb, trace, 600, rng)
+    assert forms["new"].mean() == pytest.approx(1.0, abs=1e-9)
+    # dropping the posterior weights averages in the bin z rules out, at
+    # about -(200^2) log2 e bits, so this endpoint catches it
+    assert forms["uniform"].mean() < -1e3
+
+
+def test_leakage_mi_rao_blackwell_form_pins_the_default_budget():
+    # cmd_simulate's default mi_samples, 400 (100 per book), replaced 1,000
+    # (250 per book) of the per-message summand: on every default-config
+    # book at n = 4 and n = 8 the posterior-entropy summand must have the
+    # same mean and at most 1/2.5 = 100/250 of its per-sample variance
+    rng = np.random.default_rng(29)
+    samples = 2048
+    for n in (4, 8):
+        pc, bp = _strong_params(n)
+        for k in range(8):
+            cb = sample_codebook(bp, pc, rng)
+            trace = EveTrace.random(1, 2, n, rng)
+            seed = int(rng.integers(2**32))
+            forms = _mi_forms(cb, trace, samples, np.random.default_rng(seed))
+            (old, old_se), (new, new_se) = (mean_stderr(forms[f]) for f in ("old", "new"))
+            assert abs(old - new) <= 4 * math.hypot(old_se, new_se)
+            assert np.var(forms["old"], ddof=1) >= 2.5 * np.var(forms["new"], ddof=1)
+            if k == 0:
+                # the test-local form is the library's, on the same draws
+                lib = estimate_leakage_mi(cb, trace, samples, np.random.default_rng(seed))
+                assert lib == pytest.approx((new, new_se), abs=1e-12)
 
 
 def test_leakage_mi_within_distance_bound(rng):

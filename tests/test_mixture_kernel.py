@@ -1,13 +1,14 @@
 """Property tests for the real-arithmetic distance and log-sum-exp kernel
 behind the exact mixtures: ``mixture_logpdf`` and ``estimate_leakage_mi``
-agree with direct broadcast distances and scipy's log-sum-exp, far from
-every center and across more than one chunk; the per-bin sums that underflow
-take the max-shift fallback; ``_binned_lse`` matches a dense reference
-where bins share a panel or split across several, and ``_nearest`` a dense
-argmin where panel edges cut ties and the brute-force tie rule where a later
-panel's best beats an earlier one by less or more than the slack; and the
-kernel, the decoder's nearest-center search, the sampler, the
-main decoder and one leakage estimate stay inside fixed memory budgets.
+(its posterior-entropy summand) agree with direct broadcast distances and
+scipy's log-sum-exp, far from every center and across more than one chunk;
+the per-bin sums that underflow take the max-shift fallback;
+``_binned_lse`` matches a dense reference where bins share a panel or split
+across several, and ``_nearest`` a dense argmin where panel edges cut ties
+and the brute-force tie rule where a later panel's best beats an earlier
+one by less or more than the slack; and the kernel, the decoder's
+nearest-center search, the sampler, the main decoder and one leakage
+estimate stay inside fixed memory budgets.
 Also pins ``complex_normal`` to its draw."""
 
 import math
@@ -268,8 +269,9 @@ def test_sampler_and_main_decoder_stream_the_default_book():
 
 
 def _reference_leakage_mi(cb, trace, samples, rng):
-    """The per-bin estimator loop: direct distances, one scipy log-sum-exp
-    over the whole book and one per distinct message of each batch."""
+    """The Rao-Blackwellized summand log2 n_bins - H(pi(z)) from direct
+    distances and one scipy log-sum-exp per bin of each batch, pi(z) being
+    the posterior over all bins."""
     centers = eve_observe(cb.codewords, trace).reshape(cb.size, -1)
     values = []
     done = 0
@@ -280,14 +282,14 @@ def _reference_leakage_mi(cb, trace, samples, rng):
         x = cb.codewords[w * cb.per_bin + j]
         z = eve_observe(x + complex_normal(rng, x.shape), trace).reshape(b, -1)
         sq = np.sum(np.abs(z[:, None, :] - centers[None]) ** 2, axis=2)
-        log_all = logsumexp(-sq, axis=1) - math.log(cb.size)
-        batch = np.empty(b)
-        for w_val in np.unique(w):
-            rows = np.nonzero(w == w_val)[0]
-            cols = slice(w_val * cb.per_bin, (w_val + 1) * cb.per_bin)
-            log_bin = logsumexp(-sq[rows, cols], axis=1) - math.log(cb.per_bin)
-            batch[rows] = (log_bin - log_all[rows]) / math.log(2)
-        values.extend(batch.tolist())
+        log_bins = np.stack(
+            [logsumexp(-sq[:, v * cb.per_bin : (v + 1) * cb.per_bin], axis=1)
+             for v in range(cb.n_bins)],
+            axis=1,
+        )
+        log_post = log_bins - logsumexp(log_bins, axis=1, keepdims=True)
+        entropy = -np.sum(np.exp(log_post) * log_post, axis=1)
+        values.extend(((math.log(cb.n_bins) - entropy) / math.log(2)).tolist())
         done += b
     # two-pass sample variance with divisor samples - 1
     mean = math.fsum(values) / samples

@@ -138,17 +138,13 @@ def canonicalize_eve(h_raw):
     range by ``_unit_scaled``; one that is then canonical is kept as it is.
     Every other matrix takes one of two paths, chosen by its shape:
 
-    - n_eve = 1: the row h becomes h / beta with beta = -copysign(|h|,
-      Re h_0), the sign LAPACK's SVD gives it.  A row whose tail h_1.. is
-      zero and whose head h_0 is real, a zero row included, becomes e_1,
-      and a 1 x 1 state becomes [[1]], as LAPACK gives them too.
+    - n_eve = 1: the row h becomes h / |h|, and a zero row becomes e_1.
     - n_eve >= 2: its leading right-singular rows, from one batched SVD.
 
-    Any orthonormal basis of the row space gives the same observation law;
-    the closed form follows LAPACK's convention so that it agrees with the
-    SVD's row to rounding (not bit for bit).  The result is not checked
-    again: its kept members passed the orthonormality test and the others
-    are unit or SVD rows.
+    Any orthonormal basis of the row space gives the same observation law,
+    so the one-row form fixes no phase.  The result is not checked again:
+    its kept members passed the orthonormality test and the others are unit
+    or SVD rows.
     """
     h = _unit_scaled(_eve_stack(h_raw, canonical=False))
     keep = _gram_deviation(h) <= ORTHO_TOL
@@ -159,13 +155,10 @@ def canonicalize_eve(h_raw):
         # Right-singular rows: the first rank(h) of them span the row space,
         # the remainder are the orthonormal completion for deficient rows.
         vh = np.linalg.svd(h, full_matrices=True)[2][..., :n_eve, :]
-    elif n_tx == 1:
-        vh = np.ones_like(h)
     else:
-        beta = -np.copysign(np.linalg.norm(h, axis=-1, keepdims=True), h[..., :1].real)
         with np.errstate(invalid="ignore"):  # a zero row gives nan here, then e_1
-            vh = h / beta
-        vh[~np.any(h[..., 1:], axis=-1) & (h[..., 0].imag == 0)] = np.eye(1, n_tx)
+            vh = h / np.linalg.norm(h, axis=-1, keepdims=True)
+        vh[~np.any(h, axis=-1)] = np.eye(1, n_tx)
     return np.where(keep[..., None, None], h, vh)
 
 

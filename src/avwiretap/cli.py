@@ -137,9 +137,9 @@ def write_table(fh, metadata: dict, header: list, blocks) -> None:
     A block holds one entry per column: an equally long array or list, or
     one value that fills its column on every row of the block.  Each block
     is written with one %-format string, in which a fill value stands
-    formatted once by ``_format_cell``.  An array column of floats, integers
-    or flags takes its format from its dtype; any other column's format
-    comes from a scan of its cells (``_column_format``)."""
+    formatted once by ``_format_cell``.  A 1-d array of floats, integers or
+    flags takes its format from its dtype; any other column is written cell
+    by cell through ``_format_cell`` as %s."""
     for key in sorted(metadata):
         fh.write(f"# {key}={metadata[key]}\n")
     fh.write(",".join(map(_format_cell, header)) + "\n")
@@ -155,7 +155,7 @@ def write_table(fh, metadata: dict, header: list, blocks) -> None:
                 cells = cells.tolist()
             if isinstance(cells, list):
                 if fmt is None:
-                    fmt, cells = _column_format(cells)
+                    fmt, cells = "%s", [_format_cell(v) for v in cells]
                 columns.append(cells)
             else:
                 fmt = _format_cell(cells).replace("%", "%%")
@@ -168,21 +168,9 @@ def write_table(fh, metadata: dict, header: list, blocks) -> None:
 
 _FLAG_TYPES = (bool, np.bool_)
 _FLOAT_TYPES = (float, np.floating)
-# the _column_format of an array column by its dtype kind
+# the format of a 1-d array column by its dtype kind: what ``_format_cell``
+# writes for each of its cells (%d writes a flag as 1/0)
 _DTYPE_FORMATS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d"}
-
-
-def _column_format(cells) -> tuple:
-    """The %-format of one column and the cells to fill it with, writing
-    each cell as ``_format_cell`` does: %.12g for a column of real floats,
-    %d for one of integers or flags (%d writes a flag as 1/0), and %s over
-    the cells formatted one by one for any other column."""
-    kinds = set(map(type, cells))
-    if all(issubclass(k, _FLOAT_TYPES) for k in kinds):
-        return "%.12g", cells
-    if all(issubclass(k, (int, np.integer, np.bool_)) for k in kinds):
-        return "%d", cells
-    return "%s", [_format_cell(v) for v in cells]
 
 
 def _format_cell(v) -> str:
@@ -307,6 +295,22 @@ def _count(value, name: str) -> int:
     return _counts([value], name)[0]
 
 
+def _blocklengths(value, name: str) -> list:
+    """A nonempty list of blocklengths: counts (``_counts``) of at least 1."""
+    values = _counts(value, name)
+    if min(values) < 1:
+        raise ConfigError(f"{name} must hold blocklengths of at least 1, not {min(values)}")
+    return values
+
+
+def _eve_count(value, name: str) -> int:
+    """An eavesdropper antenna count: a count (``_count``) of at least 0."""
+    count = _count(value, name)
+    if count < 0:
+        raise ConfigError(f"{name} must be a nonnegative eavesdropper antenna count, not {count}")
+    return count
+
+
 def _choice(*options):
     """A reader that takes one of ``options``, equal in value and type."""
     def read(value, name):
@@ -400,7 +404,7 @@ def _spawn_rngs(seed: int, count: int):
 
 def cmd_rate(cfg: dict, scale: float) -> tuple:
     ch, n_eve, eps_p, grid = _read(
-        cfg, "", channel=(_channel, REQUIRED), n_eve=(_count, REQUIRED), eps_p=(_float, 0.0),
+        cfg, "", channel=(_channel, REQUIRED), n_eve=(_eve_count, REQUIRED), eps_p=(_float, 0.0),
         pbar_grid=(_power_grid, REQUIRED),
     )
     pc = PowerConfig(pbar=grid, eps_p=eps_p, n_tx=ch.n_modes)
@@ -417,9 +421,11 @@ def cmd_region(cfg: dict, scale: float) -> tuple:
     mac = cfg.get("model") != "bc"
     model, ch1, ch2, pbar, n_eve, *alphas = _read(
         cfg, "", model=(_choice("mac", "bc"), REQUIRED), channel1=(_channel, REQUIRED),
-        channel2=(_channel, REQUIRED), pbar=(_float, REQUIRED), n_eve=(_count, REQUIRED),
+        channel2=(_channel, REQUIRED), pbar=(_float, REQUIRED), n_eve=(_eve_count, REQUIRED),
         **({"alpha_grid": (_alpha_grid, _alpha_grid({}, "alpha_grid"))} if mac else {}),
     )
+    if pbar < 0:
+        raise ConfigError(f"pbar must be a nonnegative power budget, not {pbar}")
     if model == "mac":
         region = mac_region(ch1, ch2, pbar, n_eve, *alphas)
     else:
@@ -434,7 +440,7 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
     (pbar, eps_p, n_tx, n_eve, n_values, delta_n, delta_prime, mode, distance_samples,
      mi_samples, error_trials, books, w_count, ch) = _read(
         cfg, "", pbar=(_float, 6.0), eps_p=(_float, 0.5), n_tx=(_count, 2), n_eve=(_count, 1),
-        n_values=(_counts, [2, 4, 8]), delta_n=(_float, 0.5), delta_prime=(_float, 0.25),
+        n_values=(_blocklengths, [2, 4, 8]), delta_n=(_float, 0.5), delta_prime=(_float, 0.25),
         mode=(_choice(*MODES), "strong"), distance_samples=(_count, 1_000),
         mi_samples=(_count, 400), error_trials=(_count, 200), codebooks=(_count, 4),
         w_subset=(_count, 4), channel=(_channel, None),
@@ -448,6 +454,8 @@ def cmd_simulate(cfg: dict, seed: int) -> tuple:
     ch = ch or _channel({"identity": n_tx}, "channel")
     if ch.n_tx != n_tx:
         raise ConfigError(f"channel has {ch.n_tx} transmit antennas but n_tx is {n_tx}")
+    if ch.n_modes != n_tx:
+        raise ConfigError(f"channel has {ch.n_rx} receive antennas, fewer than n_tx = {n_tx}")
     if not 1 <= n_eve <= n_tx:
         raise ConfigError(f"n_eve must lie between 1 and n_tx = {n_tx}, not {n_eve}")
     pc = PowerConfig(pbar=pbar, eps_p=eps_p, n_tx=n_tx)
@@ -519,7 +527,7 @@ def cmd_verify(cfg: dict, seed: int) -> tuple:
 
 def cmd_schedule(cfg: dict) -> tuple:
     eps_prime, n_values, c_prime, alpha_eps, alpha_eps_p, error_exponent, r0, pert = _read(
-        cfg, "", eps_prime=(_float, REQUIRED), n_values=(_counts, [1000]),
+        cfg, "", eps_prime=(_float, REQUIRED), n_values=(_blocklengths, [1000]),
         c_prime=(_float, 0.05), alpha_eps=(_float, 0.05), alpha_eps_p=(_float, 0.05),
         error_exponent=(_float, 0.5), r0=(_float, 1.0), perturbation=(_perturbation, None),
     )
@@ -531,10 +539,10 @@ def cmd_schedule(cfg: dict) -> tuple:
         "stage2_per_use",
     ]
     sp = schedule_params(
-        eps_prime, n_values, c_prime, alpha_eps, alpha_eps_p, error_exponent, pert
+        eps_prime, np.asarray(n_values), c_prime, alpha_eps, alpha_eps_p, error_exponent, pert
     )
     return header, [[
-        n_values, sp.eps_n, sp.log_k, sp.log_m, sp.distance_exponent_ok,
+        sp.n, sp.eps_n, sp.log_k, sp.log_m, sp.distance_exponent_ok,
         sp.residual_tail_ok, sp.truncation_tail_ok, sp.decoding_exponent_ok,
         sp.growth_ok, "" if sp.drift_ok is None else sp.drift_ok,
         "" if sp.min_feasible_n is None else sp.min_feasible_n,

@@ -254,7 +254,8 @@ _SAMPLE_BATCH = 512
 # Entries (float64 or complex) of every streamed buffer: the distance panel
 # that ``_binned_lse`` and ``_nearest`` stream the centers through (512 KB,
 # so a panel stays in L2 from its GEMM to its reduction), the sampler's
-# candidate chunk and the observation chunk of ``Codebook.eve_image``.
+# candidate chunk, the observation chunk of ``Codebook.eve_image`` and the
+# signal chunk of ``leakage._density_chunks``.
 _PANEL = 2**16
 # A bin whose shift-free exp-sum falls below this has lost precision to
 # underflow (its nearest center is hundreds of units away), so its row is

@@ -26,6 +26,7 @@ import numpy as np
 
 from .channel import EveTrace, PowerConfig, complex_normal, eve_observe, transmit
 from .codebook import (
+    _PANEL,
     _SAMPLE_BATCH,
     BinningParams,
     Codebook,
@@ -55,17 +56,13 @@ def _density_bits(x, z, trace: EveTrace, p_prime: float):
     ) * math.log2(math.e)
 
 
-# Blocks per density draw, so one chunk of (blocks, n_tx, n) signals stays
-# a few MB whatever the trial count.
-_DENSITY_CHUNK = 2048
-
-
 def _density_chunks(trace: EveTrace, pc: PowerConfig, blocks: int, rng):
     """Per-use densities of ``blocks`` pipeline blocks (code draw, artificial
     noise, eavesdropper observation through the trace), yielded in chunks of
-    at most ``_DENSITY_CHUNK`` blocks."""
-    for done in range(0, blocks, _DENSITY_CHUNK):
-        b = min(_DENSITY_CHUNK, blocks - done)
+    at most ``_PANEL`` signal entries (one block at least)."""
+    step = max(1, _PANEL // (pc.n_tx * trace.n))
+    for done in range(0, blocks, step):
+        b = min(step, blocks - done)
         xt = complex_normal(rng, (b, pc.n_tx, trace.n), var=pc.per_antenna_var)
         yield _density_bits(xt, eve_observe(transmit(xt, rng), trace), trace, pc.p_prime)
 

@@ -960,3 +960,25 @@ def test_out_of_domain_region_and_drift_inputs_are_config_errors(tmp_path, capsy
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", {"n_values": [0]}, "n_values"),
+    ("schedule", {"eps_prime": 0.1, "n_values": [0, 5]}, "n_values"),
+    # one row cannot carry two modes
+    ("simulate", {"channel": {"rows": 1, "cols": 2, "entries": [[1, 0], [0, 0]]}}, "channel"),
+    ("rate", {**_RATE, "n_eve": -1}, "n_eve"),
+    ("region", {**_MAC, "pbar": -1}, "pbar"),
+])
+def test_out_of_range_values_name_their_key(tmp_path, capsys, monkeypatch, command, payload,
+                                            key):
+    def no_sampling(*args, **kwargs):
+        raise RuntimeError("sampled a codebook")
+
+    monkeypatch.setattr(codebook, "sample_codebook", no_sampling)
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    code, out = _run(tmp_path, command, "--config", cfg, "--seed", "1")
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key} ")

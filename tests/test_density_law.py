@@ -22,6 +22,7 @@ from scipy.stats import binom, kstest
 from avwiretap import leakage
 from avwiretap.channel import EveTrace, InvariantError, PowerConfig, eve_observe
 from avwiretap.checks import DENSITY_LAW_ALPHA, tail_trend_check
+from avwiretap.codebook import _PANEL
 from avwiretap.leakage import (
     _density_chunks,
     density_law_cdf,
@@ -95,9 +96,11 @@ def test_two_eavesdropper_antennas_follow_the_law():
 
 
 def test_density_chunks_keep_the_chunk_cap():
+    # at most _PANEL signal entries, (blocks, n_tx, n), per chunk
     trace = EveTrace.random(1, PC.n_tx, 8, np.random.default_rng(85))
     sizes = [c.size for c in _density_chunks(trace, PC, 5000, np.random.default_rng(86))]
-    assert sizes == [2048, 2048, 904]
+    step = _PANEL // (PC.n_tx * 8)
+    assert sizes == [step, 5000 - step] == [4096, 904]
 
 
 def test_row_passes_on_the_real_pipeline():

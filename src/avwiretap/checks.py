@@ -21,7 +21,7 @@ from .channel import (
     eve_observe,
     transmit,
 )
-from .codebook import BinningParams, binning_params, codebook_ensemble, sample_codebook
+from .codebook import _PANEL, BinningParams, binning_params, codebook_ensemble, sample_codebook
 from .leakage import (
     _erlang_cdf,
     _ks_scaled,
@@ -102,14 +102,17 @@ def output_invariance_check(
     Gamma(n_eve) by Kolmogorov-Smirnov, and their sample covariance S against
     I by the known-mean likelihood ratio 2 m (tr S - ln det S - n_eve), about
     chi-square(n_eve^2).  Observed is the least p-value times four
-    (Bonferroni), capped at 1."""
+    (Bonferroni), capped at 1.  The ``ceil(samples / n)`` blocks of a trace
+    are drawn at most ``_PANEL`` signal entries at a time."""
     p_values = []
+    reps, step = math.ceil(samples / n), max(1, _PANEL // (pc.n_tx * n))
     for _ in range(2):
         trace = EveTrace.random(n_eve, pc.n_tx, n, rng)
-        reps = math.ceil(samples / n)
-        x = complex_normal(rng, (reps, pc.n_tx, n), var=pc.per_antenna_var)
-        y = eve_observe(transmit(x, rng), trace)
-        w = y.transpose(0, 2, 1).reshape(-1, n_eve)[:samples] / math.sqrt(pc.p_prime)
+        uses = []
+        for done in range(0, reps, step):
+            x = complex_normal(rng, (min(step, reps - done), pc.n_tx, n), var=pc.per_antenna_var)
+            uses.append(eve_observe(transmit(x, rng), trace).transpose(0, 2, 1).reshape(-1, n_eve))
+        w = np.concatenate(uses)[:samples] / math.sqrt(pc.p_prime)
         norms = np.sort(np.sum(np.abs(w) ** 2, axis=1))
         p_values.append(kolmogorov(_ks_scaled(_erlang_cdf(norms, n_eve))))
         cov = w.conj().T @ w / len(w)

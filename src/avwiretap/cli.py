@@ -22,6 +22,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -295,20 +296,23 @@ def _count(value, name: str) -> int:
     return _counts([value], name)[0]
 
 
-def _blocklengths(value, name: str) -> list:
-    """A nonempty list of blocklengths: counts (``_counts``) of at least 1."""
-    values = _counts(value, name)
-    if min(values) < 1:
-        raise ConfigError(f"{name} must hold blocklengths of at least 1, not {min(values)}")
-    return values
+def _within(read, interval: str):
+    """``read`` refusing a value, or any entry of the list or array it
+    returns, outside ``interval``, written as "[0, 1)" or "(0, inf)" (a
+    bracket takes its end in).  Only a finite end is checked, in one pass."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    below = operator.le if interval[0] == "(" else operator.lt
+    above = operator.ge if interval[-1] == ")" else operator.gt
 
-
-def _eve_count(value, name: str) -> int:
-    """An eavesdropper antenna count: a count (``_count``) of at least 0."""
-    count = _count(value, name)
-    if count < 0:
-        raise ConfigError(f"{name} must be a nonnegative eavesdropper antenna count, not {count}")
-    return count
+    def read_within(value, name):
+        values = read(value, name)
+        entries = values if isinstance(values, (list, np.ndarray)) else [values]
+        least, most = (np.min, np.max) if isinstance(entries, np.ndarray) else (min, max)
+        for end, extreme, outside in ((low, least, below), (high, most, above)):
+            if math.isfinite(end) and outside(bad := extreme(entries), end):
+                raise ConfigError(f"{name} must lie in {interval}, not {bad}")
+        return values
+    return read_within
 
 
 def _choice(*options):
@@ -325,19 +329,20 @@ def parse_matrix(value, where: str = "matrix") -> np.ndarray:
     shorthand or explicit row-major [re, im] entry pairs.  A matrix of more
     than ``MATRIX_ENTRY_CAP`` entries is refused (ToyScaleError)."""
     if isinstance(value, dict) and "identity" in value:
-        (k,) = _read(value, where, identity=(_count, REQUIRED))
-        _check_matrix_size(k, k, where)
+        (k,) = _read(value, where, identity=(_within(_count, "[1, inf)"), REQUIRED))
+        _check_size(k * k, MATRIX_ENTRY_CAP, f"{where} has {k} x {k} entries")
         return np.eye(k, dtype=complex)
     if isinstance(value, dict) and "diagonal" in value:
         (diagonal,) = _read(value, where, diagonal=(_reals, REQUIRED))
-        _check_matrix_size(diagonal.size, diagonal.size, where)
+        k = diagonal.size
+        _check_size(k * k, MATRIX_ENTRY_CAP, f"{where} has {k} x {k} entries")
         return np.diag(diagonal.astype(complex))
     if isinstance(value, dict) and "entries" in value:
         rows, cols, entries = _read(
-            value, where, rows=(_count, REQUIRED), cols=(_count, REQUIRED),
-            entries=(_pairs, REQUIRED),
+            value, where, rows=(_within(_count, "[1, inf)"), REQUIRED),
+            cols=(_within(_count, "[1, inf)"), REQUIRED), entries=(_pairs, REQUIRED),
         )
-        _check_matrix_size(rows, cols, where)
+        _check_size(rows * cols, MATRIX_ENTRY_CAP, f"{where} has {rows} x {cols} entries")
         if entries.size != rows * cols:
             raise ConfigError(f"{where} needs {rows * cols} entries, got {entries.size}")
         return entries.reshape(rows, cols)
@@ -351,15 +356,14 @@ def _channel(value, name: str) -> MainChannel:
 
 def _power_grid(value, name: str) -> np.ndarray:
     if isinstance(value, list):
-        _check_grid_size(len(value), name)
-        return _reals(value, name)
+        _check_size(len(value), GRID_POINT_CAP, f"{name} has {len(value)} points")
+        return _within(_reals, "[0, inf)")(value, name)
     start, stop, num, spacing = _read(
-        value, name, start=(_float, REQUIRED), stop=(_float, REQUIRED), num=(_count, 20),
+        value, name, start=(_within(_float, "[0, inf)"), REQUIRED),
+        stop=(_within(_float, "[0, inf)"), REQUIRED), num=(_within(_count, "[1, inf)"), 20),
         spacing=(_choice("log", "linear"), "log"),
     )
-    if num < 1:
-        raise ConfigError(f"{name} needs num >= 1 points, not {num}")
-    _check_grid_size(num, name)
+    _check_size(num, GRID_POINT_CAP, f"{name} has {num} points")
     if spacing == "linear":
         return np.linspace(start, stop, num)
     if start <= 0 or stop <= 0:
@@ -369,29 +373,24 @@ def _power_grid(value, name: str) -> np.ndarray:
 
 def _alpha_grid(value, name: str) -> np.ndarray:
     start, stop, num = _read(
-        value, name, start=(_float, 0.01), stop=(_float, 1.0), num=(_count, 101)
+        value, name, start=(_within(_float, "(0, 1]"), 0.01),
+        stop=(_within(_float, "(0, 1]"), 1.0), num=(_within(_count, "[1, inf)"), 101),
     )
-    _check_grid_size(num, name)
+    _check_size(num, GRID_POINT_CAP, f"{name} has {num} points")
     return np.linspace(start, stop, num)
 
 
 def _perturbation(value, name: str) -> tuple:
     return tuple(_read(
-        value, name, p=(_float, REQUIRED), n_tx=(_count, REQUIRED), n_eve=(_count, REQUIRED),
-        eps=(_float, REQUIRED),
+        value, name, p=(_within(_float, "[0, inf)"), REQUIRED),
+        n_tx=(_within(_count, "[1, inf)"), REQUIRED),
+        n_eve=(_within(_count, "[1, inf)"), REQUIRED), eps=(_within(_float, "(0, inf)"), REQUIRED),
     ))
 
 
-def _check_grid_size(points: int, name: str) -> None:
-    if points > GRID_POINT_CAP:
-        raise ToyScaleError(f"{name} has {points} points, over the cap of {GRID_POINT_CAP}")
-
-
-def _check_matrix_size(rows: int, cols: int, where: str) -> None:
-    if rows > 0 and cols > 0 and rows * cols > MATRIX_ENTRY_CAP:
-        raise ToyScaleError(
-            f"{where} has {rows} x {cols} entries, over the cap of {MATRIX_ENTRY_CAP}"
-        )
+def _check_size(size: int, cap: int, what: str) -> None:
+    if size > cap:
+        raise ToyScaleError(f"{what}, over the cap of {cap}")
 
 
 def _spawn_rngs(seed: int, count: int):
@@ -404,8 +403,8 @@ def _spawn_rngs(seed: int, count: int):
 
 def cmd_rate(cfg: dict, scale: float) -> tuple:
     ch, n_eve, eps_p, grid = _read(
-        cfg, "", channel=(_channel, REQUIRED), n_eve=(_eve_count, REQUIRED), eps_p=(_float, 0.0),
-        pbar_grid=(_power_grid, REQUIRED),
+        cfg, "", channel=(_channel, REQUIRED), n_eve=(_within(_count, "[0, inf)"), REQUIRED),
+        eps_p=(_within(_float, "[0, 1)"), 0.0), pbar_grid=(_power_grid, REQUIRED),
     )
     pc = PowerConfig(pbar=grid, eps_p=eps_p, n_tx=ch.n_modes)
     res = secrecy_rate(ch, pc, n_eve)
@@ -421,11 +420,10 @@ def cmd_region(cfg: dict, scale: float) -> tuple:
     mac = cfg.get("model") != "bc"
     model, ch1, ch2, pbar, n_eve, *alphas = _read(
         cfg, "", model=(_choice("mac", "bc"), REQUIRED), channel1=(_channel, REQUIRED),
-        channel2=(_channel, REQUIRED), pbar=(_float, REQUIRED), n_eve=(_eve_count, REQUIRED),
+        channel2=(_channel, REQUIRED), pbar=(_within(_float, "[0, inf)"), REQUIRED),
+        n_eve=(_within(_count, "[0, inf)"), REQUIRED),
         **({"alpha_grid": (_alpha_grid, _alpha_grid({}, "alpha_grid"))} if mac else {}),
     )
-    if pbar < 0:
-        raise ConfigError(f"pbar must be a nonnegative power budget, not {pbar}")
     if model == "mac":
         region = mac_region(ch1, ch2, pbar, n_eve, *alphas)
     else:
@@ -439,18 +437,17 @@ def cmd_region(cfg: dict, scale: float) -> tuple:
 def cmd_simulate(cfg: dict, seed: int) -> tuple:
     (pbar, eps_p, n_tx, n_eve, n_values, delta_n, delta_prime, mode, distance_samples,
      mi_samples, error_trials, books, w_count, ch) = _read(
-        cfg, "", pbar=(_float, 6.0), eps_p=(_float, 0.5), n_tx=(_count, 2), n_eve=(_count, 1),
-        n_values=(_blocklengths, [2, 4, 8]), delta_n=(_float, 0.5), delta_prime=(_float, 0.25),
-        mode=(_choice(*MODES), "strong"), distance_samples=(_count, 1_000),
-        mi_samples=(_count, 400), error_trials=(_count, 200), codebooks=(_count, 4),
-        w_subset=(_count, 4), channel=(_channel, None),
+        cfg, "", pbar=(_within(_float, "[0, inf)"), 6.0),
+        eps_p=(_within(_float, "[0, 1)"), 0.5), n_tx=(_within(_count, "[1, inf)"), 2),
+        n_eve=(_count, 1), n_values=(_within(_counts, "[1, inf)"), [2, 4, 8]),
+        delta_n=(_within(_float, "(0, inf)"), 0.5),
+        delta_prime=(_within(_float, "(0, inf)"), 0.25), mode=(_choice(*MODES), "strong"),
+        distance_samples=(_within(_count, "[2, inf)"), 1_000),
+        mi_samples=(_within(_count, "[2, inf)"), 400),
+        error_trials=(_within(_count, "[1, inf)"), 200),
+        codebooks=(_within(_count, "[2, inf)"), 4), w_subset=(_within(_count, "[1, inf)"), 4),
+        channel=(_channel, None),
     )
-    if distance_samples < 2 or mi_samples < 2 or error_trials < 1:
-        raise ConfigError("Monte Carlo budgets must be positive")
-    if books < 2:
-        raise ConfigError("need at least two codebooks per blocklength")
-    if w_count < 1:
-        raise ConfigError("w_subset must be at least 1")
     ch = ch or _channel({"identity": n_tx}, "channel")
     if ch.n_tx != n_tx:
         raise ConfigError(f"channel has {ch.n_tx} transmit antennas but n_tx is {n_tx}")
@@ -527,9 +524,10 @@ def cmd_verify(cfg: dict, seed: int) -> tuple:
 
 def cmd_schedule(cfg: dict) -> tuple:
     eps_prime, n_values, c_prime, alpha_eps, alpha_eps_p, error_exponent, r0, pert = _read(
-        cfg, "", eps_prime=(_float, REQUIRED), n_values=(_blocklengths, [1000]),
-        c_prime=(_float, 0.05), alpha_eps=(_float, 0.05), alpha_eps_p=(_float, 0.05),
-        error_exponent=(_float, 0.5), r0=(_float, 1.0), perturbation=(_perturbation, None),
+        cfg, "", eps_prime=(_within(_float, "(0, inf)"), REQUIRED),
+        n_values=(_within(_counts, "[1, inf)"), [1000]), c_prime=(_float, 0.05),
+        alpha_eps=(_float, 0.05), alpha_eps_p=(_float, 0.05), error_exponent=(_float, 0.5),
+        r0=(_within(_float, "(0, inf)"), 1.0), perturbation=(_perturbation, None),
     )
     overhead, stage2 = two_stage_overhead(eps_prime, r0)
     header = [
@@ -600,7 +598,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
+        source = "--seed" if args.seed is not None else f"{ENV_PREFIX}SEED"
         seed = args.seed if args.seed is not None else _env("SEED")
+        if seed is not None and not str(seed).isdecimal():
+            raise ConfigError(f"{source} must be a whole number of at least 0, not {seed!r}")
         seed = int(seed) if seed is not None else None
         if args.needs_seed and seed is None:
             raise ConfigError(

@@ -939,46 +939,126 @@ def test_channel_matrix_at_the_cap_is_accepted(tmp_path):
 
 
 _BC = {**_MAC, "model": "bc"}
-_PERTURBATION = _SCHEDULE["perturbation"]
+_LINEAR = {"start": 1.0, "stop": 10.0, "num": 5, "spacing": "linear"}
 
 
-@pytest.mark.parametrize("command, payload, message", [
-    ("region", {**_MAC, "pbar": -10.0}, "power budget"),
-    ("region", {**_MAC, "n_eve": -1}, "eavesdropper antenna count"),
-    ("region", {**_BC, "n_eve": -1}, "eavesdropper antenna count"),
-    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "eps": -1.0}}, "margin"),
-    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "eps": 0.0}}, "margin"),
-    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "n_eve": 0}}, "antenna counts"),
-    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "n_tx": 0}}, "antenna counts"),
-    ("schedule", {**_SCHEDULE, "perturbation": {**_PERTURBATION, "p": -1.0}}, "code power"),
-])
-def test_out_of_domain_region_and_drift_inputs_are_config_errors(tmp_path, capsys, command,
-                                                                 payload, message):
-    cfg = _write_cfg(tmp_path, "cfg.json", payload)
-    code, out = _run(tmp_path, command, "--config", cfg)
-    assert code == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and message in err
+def _with(payload, key, value):
+    """``payload`` with ``value`` at the dotted ``key``, nested objects copied."""
+    head, _, rest = key.partition(".")
+    return {**payload, head: _with(payload.get(head, {}), rest, value) if rest else value}
 
 
-@pytest.mark.parametrize("command, payload, key", [
-    ("simulate", {"n_values": [0]}, "n_values"),
-    ("schedule", {"eps_prime": 0.1, "n_values": [0, 5]}, "n_values"),
+_ENTRIES = {"rows": 2, "cols": 2, "entries": []}
+# (command, config, dotted key, a value just outside the key's range)
+_OUT_OF_RANGE = [
+    ("simulate", {}, "n_values", [0]),
+    ("schedule", _SCHEDULE, "n_values", [0, 5]),
     # one row cannot carry two modes
-    ("simulate", {"channel": {"rows": 1, "cols": 2, "entries": [[1, 0], [0, 0]]}}, "channel"),
-    ("rate", {**_RATE, "n_eve": -1}, "n_eve"),
-    ("region", {**_MAC, "pbar": -1}, "pbar"),
+    ("simulate", {}, "channel", {"rows": 1, "cols": 2, "entries": [[1, 0], [0, 0]]}),
+    ("rate", _RATE, "n_eve", -1),
+    ("region", _MAC, "pbar", -1),
+    ("region", _MAC, "pbar", -10.0),
+    ("region", _MAC, "n_eve", -1),
+    ("region", _BC, "n_eve", -1),
+    ("schedule", _SCHEDULE, "perturbation.eps", -1.0),
+    ("schedule", _SCHEDULE, "perturbation.eps", 0.0),
+    ("schedule", _SCHEDULE, "perturbation.n_eve", 0),
+    ("schedule", _SCHEDULE, "perturbation.n_tx", 0),
+    ("schedule", _SCHEDULE, "perturbation.p", -1.0),
+    ("simulate", {}, "pbar", -1),
+    ("rate", _RATE, "pbar_grid", [-1]),
+    ("simulate", {}, "eps_p", 1.5),
+    ("rate", _RATE, "eps_p", 1),
+    ("simulate", {}, "delta_n", -1),
+    ("simulate", {}, "delta_prime", -1),
+    ("simulate", {}, "n_tx", 0),
+    ("schedule", _SCHEDULE, "eps_prime", -0.1),
+    ("simulate", {}, "pbar", -0.001),
+    ("simulate", {}, "eps_p", 1),
+    ("simulate", {}, "eps_p", -0.001),
+    ("simulate", {}, "delta_n", 0),
+    ("simulate", {}, "delta_prime", 0),
+    ("simulate", {}, "distance_samples", 1),
+    ("simulate", {}, "mi_samples", 1),
+    ("simulate", {}, "error_trials", 0),
+    ("simulate", {}, "codebooks", 1),
+    ("simulate", {}, "w_subset", 0),
+    ("rate", _RATE, "eps_p", -0.001),
+    ("rate", _RATE, "pbar_grid", [10.0, -0.001]),
+    ("rate", {**_RATE, "pbar_grid": _LINEAR}, "pbar_grid.start", -0.001),
+    ("rate", {**_RATE, "pbar_grid": _LINEAR}, "pbar_grid.stop", -0.001),
+    ("rate", {**_RATE, "pbar_grid": _LINEAR}, "pbar_grid.num", 0),
+    ("region", _BC, "pbar", -0.001),
+    ("region", _MAC, "alpha_grid.start", 0),
+    ("region", _MAC, "alpha_grid.start", 1.001),
+    ("region", _MAC, "alpha_grid.stop", 0),
+    ("region", _MAC, "alpha_grid.stop", 1.001),
+    ("region", _MAC, "alpha_grid.num", 0),
+    ("schedule", _SCHEDULE, "eps_prime", 0),
+    ("schedule", _SCHEDULE, "r0", 0),
+    ("rate", _RATE, "channel.identity", 0),
+    ("rate", {**_RATE, "channel": _ENTRIES}, "channel.rows", 0),
+    ("rate", {**_RATE, "channel": _ENTRIES}, "channel.cols", 0),
+    # bad seeds, from the command line and from the environment
+    ("simulate", {}, "--seed", "-1"),
+    ("verify", {}, "--seed", "-1"),
+    ("simulate", {}, "AVWT_SEED", "abc"),
+    ("verify", {}, "AVWT_SEED", "-1"),
+    ("verify", {}, "AVWT_SEED", "2.5"),
+]
+
+
+@pytest.mark.parametrize("command, payload, key, value", _OUT_OF_RANGE, ids=[
+    f"{command}-payload{i}-{key}" for i, (command, _, key, _) in enumerate(_OUT_OF_RANGE)
 ])
 def test_out_of_range_values_name_their_key(tmp_path, capsys, monkeypatch, command, payload,
-                                            key):
+                                            key, value):
     def no_sampling(*args, **kwargs):
         raise RuntimeError("sampled a codebook")
 
     monkeypatch.setattr(codebook, "sample_codebook", no_sampling)
+    seed = ["--seed", "1"]
+    if key == "--seed":
+        seed = ["--seed", value]
+    elif key == "AVWT_SEED":
+        seed = []
+        monkeypatch.setenv(key, value)
+    else:
+        payload = _with(payload, key, value)
     cfg = _write_cfg(tmp_path, "cfg.json", payload)
-    code, out = _run(tmp_path, command, "--config", cfg, "--seed", "1")
+    code, out = _run(tmp_path, command, "--config", cfg, *seed)
     assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {key} ")
+
+
+# (command, config, dotted key, a value at a closed end of the key's range)
+_CLOSED_ENDS = [
+    ("rate", _RATE, "eps_p", 0),
+    ("rate", _RATE, "n_eve", 0),
+    ("rate", _RATE, "pbar_grid", [0, 10.0]),
+    ("rate", {**_RATE, "pbar_grid": _LINEAR}, "pbar_grid.start", 0),
+    ("rate", {**_RATE, "pbar_grid": _LINEAR}, "pbar_grid.stop", 0),
+    ("rate", {**_RATE, "pbar_grid": _LINEAR}, "pbar_grid.num", 1),
+    ("rate", _RATE, "channel.identity", 1),
+    ("region", _BC, "pbar", 0),
+    ("region", _MAC, "n_eve", 0),
+    ("region", _MAC, "alpha_grid", {"start": 1, "stop": 1, "num": 1}),
+    ("schedule", _SCHEDULE, "perturbation.p", 0),
+    ("schedule", _SCHEDULE, "n_values", [1]),
+    ("simulate", _SIMULATE, "codebooks", 2),
+    ("simulate", _SIMULATE, "distance_samples", 2),
+    ("simulate", _SIMULATE, "mi_samples", 2),
+    ("simulate", _SIMULATE, "error_trials", 1),
+    ("simulate", _SIMULATE, "n_values", [1]),
+]
+
+
+@pytest.mark.parametrize("command, payload", [
+    (command, _with(payload, key, value)) for command, payload, key, value in _CLOSED_ENDS
+])
+def test_closed_ends_of_the_ranges_still_run(tmp_path, command, payload):
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    code, out = _run(tmp_path, command, "--config", cfg, "--seed", "1")
+    assert code == 0 and out.exists()

@@ -529,6 +529,10 @@ def cmd_schedule(cfg: dict) -> tuple:
         alpha_eps=(_float, 0.05), alpha_eps_p=(_float, 0.05), error_exponent=(_float, 0.5),
         r0=(_within(_float, "(0, inf)"), 1.0), perturbation=(_perturbation, None),
     )
+    if not math.isfinite(2.0 * eps_prime * max(n_values)):
+        raise ConfigError("eps_prime and n_values put log_k = 2 eps_prime n past the float range")
+    if not math.isfinite(2.0 * eps_prime * math.log2(math.e) / r0):
+        raise ConfigError("eps_prime and r0 put stage2_per_use past the float range")
     overhead, stage2 = two_stage_overhead(eps_prime, r0)
     header = [
         "n", "eps_n", "log_k", "log_m", "distance_exponent_ok",

@@ -35,9 +35,6 @@ BLOCKLENGTH_CAP = 32
 # Memory guard for the sampler itself (the mixture cap is enforced by the
 # estimators, not here, so decoder-only experiments may go larger).
 SAMPLER_CODEWORD_CAP = 2**18
-# Complex entries per rejection round of the sampler, drawn in chunks of
-# at most ``_PANEL`` entries.
-_CANDIDATE_ELEMENTS = 2**20
 
 MODES = ("strong", "weak")
 
@@ -198,7 +195,9 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
 
     Each candidate is i.i.d. complex Gaussian at the backed-off per-antenna
     variance and is kept only if its time-averaged energy fits under the
-    hard cap; labels are assigned in draw order, filling bin 0 first.
+    hard cap; labels are assigned in draw order, filling bin 0 first.  Each
+    draw is sized by the rows the book still lacks at the expected
+    acceptance (256 candidates at least, ``_PANEL`` entries at most).
     """
     total = bp.n_bins * bp.per_bin
     if total > SAMPLER_CODEWORD_CAP:
@@ -212,35 +211,21 @@ def sample_codebook(bp: BinningParams, pc: PowerConfig, rng) -> Codebook:
             per_bin=bp.per_bin,
             pc=pc,
         )
-    expected_acceptance = truncation_mass(bp.n, pc.n_tx, pc.p, pc.eps_p)
-    if expected_acceptance < 1e-6:
-        raise ValueError(
-            f"pathological configuration: expected acceptance rate "
-            f"{expected_acceptance:.2e} below 1e-6"
-        )
+    acceptance = truncation_mass(bp.n, pc.n_tx, pc.p, pc.eps_p)
     codewords = np.empty((total, pc.n_tx, bp.n), dtype=np.complex128)
     chunk = max(1, _PANEL // (pc.n_tx * bp.n))
     have = 0
     drawn = 0
     while have < total:
-        # enough candidates for the rows still missing at the expected
-        # rate, at most _CANDIDATE_ELEMENTS complex entries per round; the
-        # whole round is drawn even once the book is full, in chunks whose
-        # kept rows go straight into the book
-        need = math.ceil(1.02 * (total - have) / expected_acceptance) + 16
-        batch = max(256, min(need, _CANDIDATE_ELEMENTS // (pc.n_tx * bp.n)))
-        for start in range(0, batch, chunk):
-            cand = complex_normal(
-                rng, (min(chunk, batch - start), pc.n_tx, bp.n), var=pc.per_antenna_var
-            )
-            flat = cand.reshape(cand.shape[0], -1).view(np.float64)
-            energy = np.einsum("ij,ij->i", flat, flat)
-            keep = np.flatnonzero(energy / bp.n <= pc.p)[: total - have]
-            # mode="clip" writes into out directly ("raise" buffers a copy)
-            np.take(cand, keep, axis=0, out=codewords[have : have + keep.size], mode="clip")
-            have += keep.size
-            del cand, flat  # so the next chunk does not coexist with this one
-        drawn += batch
+        size = min(chunk, max(256, math.ceil(1.02 * (total - have) / acceptance) + 16))
+        cand = complex_normal(rng, (size, pc.n_tx, bp.n), var=pc.per_antenna_var)
+        flat = cand.reshape(size, -1).view(np.float64)
+        keep = np.flatnonzero(np.einsum("ij,ij->i", flat, flat) / bp.n <= pc.p)[: total - have]
+        # mode="clip" writes into out directly ("raise" buffers a copy)
+        np.take(cand, keep, axis=0, out=codewords[have : have + keep.size], mode="clip")
+        have += keep.size
+        drawn += size
+        del cand, flat  # so the next draw does not coexist with this one
         if drawn >= 4_000_000 and have < 1e-6 * drawn:
             raise ValueError(
                 f"pathological configuration: observed acceptance rate "
@@ -254,7 +239,7 @@ _SAMPLE_BATCH = 512
 # Entries (float64 or complex) of every streamed buffer: the distance panel
 # that ``_binned_lse`` and ``_nearest`` stream the centers through (512 KB,
 # so a panel stays in L2 from its GEMM to its reduction), the sampler's
-# candidate chunk, the observation chunk of ``Codebook.eve_image`` and the
+# candidate draw, the observation chunk of ``Codebook.eve_image`` and the
 # signal chunk of ``leakage._density_chunks``.
 _PANEL = 2**16
 # A bin whose shift-free exp-sum falls below this has lost precision to

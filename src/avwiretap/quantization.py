@@ -190,7 +190,9 @@ def truncation_mass(n: int, n_tx: int, p: float, eps_p: float) -> float:
 
     The codeword energy is a Gamma(n * n_tx) variable in units of the
     per-antenna variance, so the mass is a regularized incomplete gamma;
-    it tends to 1/2 from above as n grows when eps_p = 0.
+    it tends to 1/2 from above as n grows when eps_p = 0.  It always
+    exceeds 1/2: the cap k / (1 - eps_p) is at least the mean k = n * n_tx,
+    and the median of Gamma(k) lies below its mean (Chen & Rubin, 1986).
     """
     if n < 1 or n_tx < 1:
         raise ValueError("blocklength and antenna count must be >= 1")
@@ -335,7 +337,9 @@ def schedule_params(
                 log_ng = np.log(n_float) + np.log(r_prime * (2.0 * r + r_prime))
             drift_ok = log_ng < -1.5 * eps_prime * n_float
 
-    per_n = [eps_n, log_k, log_m, growth_at(n_float), drift_ok]
+    # a product that overflows to +-inf still compares correctly with 2
+    with np.errstate(over="ignore"):
+        per_n = [eps_n, log_k, log_m, growth_at(n_float), drift_ok]
     if n_float.ndim == 0:
         # one blocklength: plain Python numbers and flags
         per_n = [None if v is None else v.item() for v in per_n]

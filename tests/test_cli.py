@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -718,6 +719,42 @@ def test_schedule_extreme_exponents_terminate(tmp_path, payload):
     assert code == 0
     _, columns, rows = read_table(out)
     assert int(rows[0][columns.index("min_feasible_n")]) > 10**17
+
+
+@pytest.mark.parametrize(
+    "payload, keys",
+    [({"eps_prime": 1e308}, ("eps_prime", "n_values")),
+     ({"eps_prime": 1e306, "n_values": [1000]}, ("eps_prime", "n_values")),
+     ({"eps_prime": 0.1, "r0": 1e-320}, ("eps_prime", "r0"))],
+)
+def test_schedule_refuses_cells_past_the_float_range(tmp_path, capsys, payload, keys):
+    # log_k = 2 eps' n and stage2_per_use = 2 eps' log2(e) / r0 would be inf
+    cfg = _write_cfg(tmp_path, "sched.json", payload)
+    code, out = _run(tmp_path, "schedule", "--config", cfg)
+    captured = capsys.readouterr()
+    assert code == 1 and not out.exists() and not captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert all(key in err[0] for key in keys)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"eps_prime": 1e300, "n_values": [1000]},
+     {"eps_prime": 0.1, "c_prime": 1e308, "n_values": [1, 2, 1000]},
+     {"eps_prime": 0.1, "c_prime": -1e308, "n_values": [1, 2, 1000]}],
+)
+def test_schedule_extreme_finite_inputs_write_finite_cells_quietly(tmp_path, capsys, payload):
+    cfg = _write_cfg(tmp_path, "sched.json", payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(tmp_path, "schedule", "--config", cfg)
+    assert code == 0 and not caught and not capsys.readouterr().err
+    _, columns, rows = read_table(out)
+    numeric = ("eps_n", "log_k", "log_m", "overhead_factor", "stage2_per_use")
+    assert all(math.isfinite(float(row[columns.index(c)])) for row in rows for c in numeric)
+    growth = [row[columns.index("growth_ok")] for row in rows]
+    assert growth == ["1" if payload.get("c_prime", 0.05) > payload["eps_prime"] else "0"] * len(rows)
 
 
 def test_env_overrides(tmp_path, monkeypatch):

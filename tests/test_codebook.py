@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from avwiretap.channel import EveTrace, MainChannel, PowerConfig
+from avwiretap import codebook
+from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal
 from avwiretap.codebook import (
     BinningParams,
     Codebook,
@@ -67,8 +68,6 @@ def test_sample_codebook_acceptance_matches_truncation_mass(rng):
     # count rejections through the rng stream: acceptance equals the gamma mass
     pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
     n, samples = 6, 60_000
-    from avwiretap.channel import complex_normal
-
     draws = complex_normal(rng, (samples, 2, n), var=pc.per_antenna_var)
     accept = np.mean(np.sum(np.abs(draws) ** 2, axis=(1, 2)) / n <= pc.p)
     mu = truncation_mass(n, 2, pc.p, pc.eps_p)
@@ -225,8 +224,6 @@ def test_sample_codebook_seeded_determinism():
 def _accepted_stream(bp, pc, rng, candidates):
     """Reference sampler: one draw of ``candidates`` power-capped Gaussian
     candidates, keeping those under the cap in draw order."""
-    from avwiretap.channel import complex_normal
-
     cand = complex_normal(rng, (candidates, pc.n_tx, bp.n), var=pc.per_antenna_var)
     return cand[np.sum(np.abs(cand) ** 2, axis=(1, 2)) / bp.n <= pc.p]
 
@@ -252,6 +249,44 @@ def test_small_books_draw_one_batch_of_256():
     cb = sample_codebook(bp, pc, rng)
     assert np.array_equal(cb.codewords, _accepted_stream(bp, pc, ref, 256)[: cb.size])
     assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_books_past_one_panel_keep_the_first_accepted_candidates(monkeypatch):
+    # acceptance about 0.55 and 16,384 codewords: the sampler needs several
+    # panel-sized draws, none larger than one panel, and the book is still
+    # the first accepted candidates of one long draw
+    pc = PowerConfig(pbar=4.0, eps_p=0.02, n_tx=2)
+    bp = BinningParams(n=8, rate_bits=1.0, n_bins=4, per_bin=4096)
+    shapes = []
+
+    def recording(rng, shape, var=1.0):
+        shapes.append(shape)
+        return complex_normal(rng, shape, var)
+
+    monkeypatch.setattr(codebook, "complex_normal", recording)
+    chunk = codebook._PANEL // (pc.n_tx * bp.n)
+    for seed in range(3):
+        shapes.clear()
+        cb = sample_codebook(bp, pc, np.random.default_rng(seed))
+        ref = _accepted_stream(bp, pc, np.random.default_rng(seed), 40_000)
+        assert np.array_equal(cb.codewords, ref[: cb.size])
+        assert len(shapes) > 1 and max(shape[0] for shape in shapes) <= chunk
+        # every draw is sized by the rows still missing, so the last one
+        # overshoots the candidates the book needed by less than one panel
+        cand = complex_normal(
+            np.random.default_rng(seed), (40_000, pc.n_tx, bp.n), pc.per_antenna_var
+        )
+        accepted = np.sum(np.abs(cand) ** 2, axis=(1, 2)) / bp.n <= pc.p
+        needed = int(np.searchsorted(np.cumsum(accepted), cb.size)) + 1
+        assert needed <= sum(shape[0] for shape in shapes) < needed + chunk
+
+
+@pytest.mark.parametrize("eps_p", [0.0, 0.5, 0.9, 1.0 - 2.0**-52])
+def test_truncation_mass_exceeds_one_half(eps_p):
+    # the median of Gamma(k) lies below its mean k, so the cap keeps more
+    # than half of the candidates at any blocklength and antenna count
+    masses = [truncation_mass(n, n_tx, 1.0, eps_p) for n in range(1, 33) for n_tx in range(1, 9)]
+    assert min(masses) > 0.5
 
 
 def test_mean_stderr_keeps_digits_of_a_small_spread():

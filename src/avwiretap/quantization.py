@@ -221,7 +221,6 @@ class ScheduleParams:
     ``growth_ok``, ``drift_ok``) are arrays over it.
     """
 
-    eps_prime: float
     n: int
     eps_n: float
     log_k: float
@@ -315,8 +314,7 @@ def schedule_params(
         net_start = math.log(1.0 + math.sqrt(2.0)) / (2.0 * eps_prime)
         if not math.isfinite(growth_start + net_start):
             raise ValueError(
-                "schedule exponents too small: the minimum feasible blocklength "
-                "exceeds the float range"
+                "eps_prime and c_prime put the minimum feasible blocklength past the float range"
             )
         n_growth = _min_n_satisfying(growth_at, int(growth_start) + 1)
         n_net = _min_n_satisfying(net_at, max(int(net_start), 1))
@@ -345,7 +343,6 @@ def schedule_params(
         per_n = [None if v is None else v.item() for v in per_n]
     eps_n, log_k, log_m, growth_ok, drift_ok = per_n
     return ScheduleParams(
-        eps_prime=eps_prime,
         n=n,
         eps_n=eps_n,
         log_k=log_k,

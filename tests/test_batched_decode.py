@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avwiretap import codebook
-from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe
+from avwiretap.channel import (
+    DimensionError,
+    EveTrace,
+    MainChannel,
+    PowerConfig,
+    complex_normal,
+    eve_observe,
+)
 from avwiretap.codebook import (
     _PANEL,
     _SAMPLE_BATCH,
@@ -220,6 +227,16 @@ def test_single_observation_types(rng):
     trace = EveTrace.random(1, 2, 2, rng)
     z = np.einsum("iet,ti->ei", trace.stacked, cb.codeword(1, 2))
     assert type(eve_bin_decode(z, 1, trace, cb)) is int
+
+
+def test_decoders_refuse_observations_of_the_wrong_shape(rng):
+    cb = _book(rng, 2, 2, 2, 3, duplicate=False)
+    with pytest.raises(DimensionError, match="observation shape"):
+        ml_decode_main(np.zeros((2, 4)), MainChannel(np.eye(2)), cb)
+    with pytest.raises(DimensionError, match="disagree on transmit antennas"):
+        ml_decode_main(np.zeros((3, 3)), MainChannel(np.eye(3)), cb)
+    with pytest.raises(DimensionError, match="observation shape"):
+        eve_bin_decode(np.zeros((2, 3)), 0, EveTrace.random(1, 2, 3, rng), cb)
 
 
 def test_estimate_decode_error_rejects_unknown_link(rng):

@@ -20,6 +20,8 @@ from avwiretap.channel import (
     random_full_rank_channel,
     transmit,
 )
+from avwiretap.codebook import Codebook, eve_bin_decode, ml_decode_main
+from avwiretap.quantization import quantize_eve
 
 
 def test_reduce_rank_deficient_raises():
@@ -258,3 +260,53 @@ def test_random_full_rank_channel_runs_one_svd_per_draw(monkeypatch):
             break
     assert np.array_equal(ch.h, h)
     assert np.array_equal(ch.singular_values, s)
+
+
+# every entry point that coerces its matrix through ``as_complex_matrix``:
+# (shape of a valid input, the call on an input ``a``)
+_GUARDED = {
+    "transmit": ((2, 3), lambda a, env: transmit(a, env["rng"])),
+    "main_observe": ((2, 3), lambda a, env: main_observe(a, env["ch"], env["rng"])),
+    "eve_observe": ((2, 3), lambda a, env: eve_observe(a, env["trace"])),
+    "canonicalize_eve": ((1, 2), lambda a, env: canonicalize_eve(a)),
+    "quantize_eve": ((1, 2), lambda a, env: quantize_eve(a, 4)),
+    "ml_decode_main": ((2, 3), lambda a, env: ml_decode_main(a, env["ch"], env["cb"])),
+    "eve_bin_decode": ((1, 3), lambda a, env: eve_bin_decode(a, 0, env["trace"], env["cb"])),
+    "MainChannel": ((2, 2), lambda a, env: MainChannel(a)),
+}
+
+
+def _bad_input(kind, shape):
+    a = np.eye(*shape, dtype=complex)
+    if kind == "nan":
+        a[0, 0] = np.nan
+    elif kind == "inf":
+        a[-1, -1] = complex(0.0, np.inf)
+    elif kind == "1-d":
+        a = a[0]
+    elif kind == "empty":
+        a = a[:, :0]
+    else:  # a stack of two valid matrices
+        a = np.stack([a, a])
+    return a
+
+
+@pytest.mark.parametrize(
+    "name, kind, error",
+    [(name, kind, error) for name in _GUARDED
+     for kind, error in (("nan", InvariantError), ("inf", InvariantError),
+                         ("1-d", DimensionError), ("empty", DimensionError))]
+    + [("MainChannel", "stack", DimensionError)],
+)
+def test_matrix_inputs_refuse_nonfinite_and_misshaped_arrays(rng, name, kind, error):
+    pc = PowerConfig(pbar=6.0, eps_p=0.5, n_tx=2)
+    env = {
+        "rng": rng,
+        "ch": MainChannel(np.eye(2)),
+        "trace": EveTrace.random(1, 2, 3, rng),
+        "cb": Codebook(codewords=complex_normal(rng, (4, 2, 3)), n_bins=2, per_bin=2, pc=pc),
+    }
+    shape, call = _GUARDED[name]
+    call(np.eye(*shape, dtype=complex), env)  # the valid input passes
+    with pytest.raises(error):
+        call(_bad_input(kind, shape), env)

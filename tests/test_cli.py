@@ -725,10 +725,12 @@ def test_schedule_extreme_exponents_terminate(tmp_path, payload):
     "payload, keys",
     [({"eps_prime": 1e308}, ("eps_prime", "n_values")),
      ({"eps_prime": 1e306, "n_values": [1000]}, ("eps_prime", "n_values")),
-     ({"eps_prime": 0.1, "r0": 1e-320}, ("eps_prime", "r0"))],
+     ({"eps_prime": 0.1, "r0": 1e-320}, ("eps_prime", "r0")),
+     ({"eps_prime": 5e-324, "c_prime": 1e-323}, ("eps_prime", "c_prime"))],
 )
 def test_schedule_refuses_cells_past_the_float_range(tmp_path, capsys, payload, keys):
-    # log_k = 2 eps' n and stage2_per_use = 2 eps' log2(e) / r0 would be inf
+    # log_k = 2 eps' n, stage2_per_use = 2 eps' log2(e) / r0 and the minimum
+    # feasible blocklength would be inf
     cfg = _write_cfg(tmp_path, "sched.json", payload)
     code, out = _run(tmp_path, "schedule", "--config", cfg)
     captured = capsys.readouterr()

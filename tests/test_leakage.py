@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
-from avwiretap.channel import EveTrace, MainChannel, PowerConfig, eve_observe, transmit
+from avwiretap.channel import EveTrace, MainChannel, PowerConfig, complex_normal, eve_observe, transmit
 from avwiretap.codebook import (
     _SAMPLE_BATCH,
     BinningParams,
@@ -21,6 +21,7 @@ from avwiretap.codebook import (
 )
 from avwiretap.leakage import (
     _density_bits,
+    _image_logpdf,
     estimate_leakage_mi,
     estimate_variational_distance,
     eve_error_symmetry_check,
@@ -120,6 +121,34 @@ def test_variational_distance_identical_laws_vanishes(rng):
     )
     assert est.d_hat == pytest.approx(0.0, abs=1e-12)
     assert not est.saturated
+
+
+def test_saturated_reports_the_clamp_at_one(rng):
+    # an unnormalized seam e^5 times the ideal law makes every summand
+    # 0.5 (e^5 - 1) > 1: the mean is clamped, and the bound is the trivial one
+    pc, cb, trace = _strong_setup(rng, n=4)
+    est = estimate_variational_distance(
+        cb, trace, [0], 1000, rng,
+        conditional_logpdf=lambda z: isotropic_logpdf(z, pc.p_prime) + 5.0,
+    )
+    assert est.d_hat == 1.0 and est.saturated
+    assert est.mi_bound == pytest.approx(math.log2(cb.n_bins))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_likelihood_ratio_has_mean_one_under_the_ideal_law(rng, n):
+    # E_Q[r] = 1 for r = P_{Z|w} / Q is what bounds the distance summand
+    # without a clip; a mixture missing its 1/count weight reads per_bin
+    samples = 200_000
+    pc, cb, trace = _strong_setup(rng, n)
+    image = cb.eve_image(trace, 0)
+    ratios = []
+    for done in range(0, samples, _SAMPLE_BATCH):
+        z = complex_normal(rng, (min(_SAMPLE_BATCH, samples - done), n), var=pc.p_prime)
+        ratios.append(np.exp(_image_logpdf(z, image) - isotropic_logpdf(z, pc.p_prime)))
+    mean, stderr = mean_stderr(np.concatenate(ratios))
+    assert cb.per_bin == {2: 8, 4: 64}[n]
+    assert abs(mean - 1.0) <= 5.0 * stderr
 
 
 def test_variational_distance_matches_quadrature(rng):
